@@ -66,7 +66,7 @@ from .compression import all_codec_names, get_codec
 from .core.engine import CompressStreamDB, EngineConfig
 from .datasets import QUERIES
 from .errors import ReproError
-from .sql.planner import JoinPlan, PassthroughPlan, Planner, WindowAggPlan
+from .sql.planner import Planner
 from .stats import ColumnStats
 
 _DATASET_MODULES = {
@@ -201,14 +201,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
     from .optimizer import (
-        bind,
+        JoinNode,
+        ProjectNode,
+        WindowAggNode,
+        find_node,
         optimize_plan,
         render_json,
         render_text,
         schema_infos,
         stats_from_columns,
     )
-    from .sql.parser import parse
+    from .sql.executor import plan_shape
 
     text = args.sql_pos or args.sql
     cfg = None
@@ -222,8 +225,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         catalog = dict(cfg.catalog)
     else:
         catalog = _full_catalog()
-    script = parse(text)
-    plan = Planner(catalog).plan(script)
+    plan = Planner(catalog).plan_text(text)
 
     stats = None
     if args.stats:
@@ -236,18 +238,17 @@ def cmd_explain(args: argparse.Namespace) -> int:
         merged = {f.name: batches[0].column(f.name) for f in plan.schema}
         stats = stats_from_columns(plan.schema, merged)
     infos = schema_infos(plan.schema, codec_hint=args.codec, stats=stats)
+    result = optimize_plan(plan, infos)
     if args.no_optimize:
-        root, opt_info = bind(plan, infos, script=script), None
+        root, opt_info = result.baseline_root, None
     else:
-        result = optimize_plan(plan, infos, script=script)
         root, opt_info = result.root, result.info
 
     if args.as_json:
         print(json.dumps(render_json(root, opt_info), indent=2, sort_keys=True))
         return 0
 
-    kind = type(plan).__name__
-    print(f"plan: {kind}")
+    print(f"plan: {plan_shape(plan.root)}")
 
     def window_text(w):
         if w.mode == "time":
@@ -256,21 +257,24 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
         return f"range {w.size} slide {w.slide}"
 
-    if isinstance(plan, WindowAggPlan):
-        print(f"  window: {window_text(plan.window)}")
-        print(f"  group by: {list(plan.group_keys) or '-'}")
-    elif isinstance(plan, JoinPlan):
-        print(f"  window side: {window_text(plan.window)}")
-        for side in plan.sides:
+    agg = find_node(plan.root, WindowAggNode)
+    join = find_node(plan.root, JoinNode)
+    project = find_node(plan.root, ProjectNode)
+    if agg is not None:
+        print(f"  window: {window_text(agg.window)}")
+        print(f"  group by: {list(agg.group_keys) or '-'}")
+    elif join is not None:
+        print(f"  window side: {window_text(join.window)}")
+        for side in join.sides:
             kind_txt = "left outer" if side.outer else "inner"
             print(
                 f"  {kind_txt} side {side.binding}: "
                 f"by {side.window.partition_by} rows {side.window.rows}, "
                 f"probe {side.probe_column} == {side.key_column}"
             )
-    elif isinstance(plan, PassthroughPlan):
-        print(f"  per-tuple projection; distinct={plan.distinct}")
-    print(f"  outputs: {[o.name for o in plan.outputs]}")
+    else:
+        print(f"  per-tuple projection; distinct={project.distinct}")
+    print(f"  outputs: {[o.name for o in project.outputs]}")
     print("  per-column requirements:")
     for name, use in sorted(plan.profile.column_uses.items()):
         caps = ", ".join(sorted(use.caps)) or "-"

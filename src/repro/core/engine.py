@@ -45,8 +45,9 @@ from ..errors import EngineError
 from ..net.channel import Channel, QueuedChannel
 from ..net.faults import FaultProfile, FaultyChannel
 from ..net.transport import ReliabilityConfig
+from ..optimizer.logical import Plan
 from ..optimizer.optimizer import plan_for_engine
-from ..sql.planner import Plan, Planner
+from ..sql.planner import Planner
 from ..stream.batch import Batch
 from ..stream.schema import Schema
 from .calibration import CalibrationTable, default_calibration

@@ -26,8 +26,8 @@ from ..net.channel import Channel, QueuedChannel
 from ..net.faults import FaultReport, FaultyChannel
 from ..net.transport import ReliabilityConfig, ReliableTransport
 from ..operators.base import decoded_column
+from ..optimizer.logical import Plan
 from ..sql.executor import QueryResult, make_executor
-from ..sql.planner import Plan
 from ..stream.batch import Batch
 from .client import Client
 from .cost_model import SystemParams

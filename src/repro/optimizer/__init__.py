@@ -1,13 +1,14 @@
 """Compression-aware query optimizer: logical IR, rewrite rules, chooser.
 
-The pipeline is ``bind`` (physical plan -> naive logical tree),
-``RULES`` (cost-gated rewrites: projection pruning, predicate pushdown,
+The planner emits the naive logical tree (:mod:`.logical`); ``RULES``
+rewrite it (cost-gated: projection pruning, predicate pushdown,
 selection reordering, filter+aggregate run fusion, common-subplan
-sharing, format morphing), and a chooser that keeps the baseline plan
-whenever rewriting is not estimated cheaper.  See ``docs/optimizer.md``.
+sharing, format morphing), and a chooser keeps the naive tree whenever
+rewriting is not estimated cheaper.  The executors run whichever tree
+comes out.  See ``docs/optimizer.md``.
 """
 
-from .binder import bind, schema_infos, stats_from_columns
+from .binder import schema_infos, stats_from_columns
 from .cost import CostContext, plan_cost, predicate_columns
 from .explain import plan_digest, render_json, render_text
 from .info import MorphDecision, OptimizerInfo, RuleFiring
@@ -16,16 +17,18 @@ from .logical import (
     DeriveNode,
     FilterNode,
     JoinNode,
-    JoinSideInfo,
+    JoinSide,
     LogicalNode,
     MorphNode,
     OrderLimitNode,
+    Plan,
     ProjectNode,
     ScanNode,
     WindowAggNode,
-    find_scan,
+    find_node,
     iter_nodes,
     transform,
+    where_of,
 )
 from .optimizer import OptimizeResult, optimize_plan, plan_for_engine
 from .rules import (
@@ -49,13 +52,14 @@ __all__ = [
     "FilterNode",
     "FormatMorph",
     "JoinNode",
-    "JoinSideInfo",
+    "JoinSide",
     "LogicalNode",
     "MorphDecision",
     "MorphNode",
     "OptimizeResult",
     "OptimizerInfo",
     "OrderLimitNode",
+    "Plan",
     "PredicatePushdown",
     "ProjectionPrune",
     "ProjectNode",
@@ -65,8 +69,7 @@ __all__ = [
     "ScanNode",
     "SelectionReorder",
     "WindowAggNode",
-    "bind",
-    "find_scan",
+    "find_node",
     "iter_nodes",
     "optimize_plan",
     "plan_cost",
@@ -79,4 +82,5 @@ __all__ = [
     "simplify_predicate",
     "stats_from_columns",
     "transform",
+    "where_of",
 ]

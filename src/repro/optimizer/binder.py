@@ -1,45 +1,21 @@
-"""Bind a parsed script + physical plan to the logical IR.
+"""Catalogue knowledge for the logical plan's scans.
 
-The binder produces the *naive* logical plan — the tree that mirrors the
-SQL evaluation order before any rewrite: a scan of every schema column,
-the WHERE filter sitting above it, then aggregation / join / projection /
-order-limit.  Rules then earn their keep by visibly improving on this
-shape (pushing the filter into the scan, pruning the scan to the
-referenced columns, and so on).
-
-Catalogue knowledge rides on the nodes: per-column :class:`ColumnInfo`
-(codec hints + sampled statistics) on the scan, and the planner-derived
-referenced set the prune rule shrinks to.
+The planner emits the naive tree with bare per-column infos (name, kind,
+width); callers that know more — a pinned codec, or statistics sampled
+from the stream — build richer :class:`ColumnInfo` maps here and hand
+them to :func:`~repro.optimizer.optimize_plan`, which binds them onto the
+scan before the rules price any rewrite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from ..sql.ast import Script
-from ..sql.planner import (
-    OUT_AGG,
-    JoinPlan,
-    PassthroughPlan,
-    Plan,
-    WindowAggPlan,
-)
 from ..stats import ColumnStats
 from ..stream.schema import Schema
-from .logical import (
-    ColumnInfo,
-    DeriveNode,
-    FilterNode,
-    JoinNode,
-    JoinSideInfo,
-    LogicalNode,
-    OrderLimitNode,
-    ProjectNode,
-    ScanNode,
-    WindowAggNode,
-)
+from .logical import ColumnInfo
 
 
 def schema_infos(
@@ -83,119 +59,3 @@ def stats_from_columns(
             np.asarray(values, dtype=np.int64), size_c=f.size
         )
     return out
-
-
-def _scan(
-    schema: Schema,
-    stream: str,
-    referenced: Tuple[str, ...],
-    infos: Mapping[str, ColumnInfo],
-) -> ScanNode:
-    names = tuple(f.name for f in schema)
-    return ScanNode(
-        stream=stream,
-        columns=names,
-        infos=tuple(infos.get(n, ColumnInfo(name=n)) for n in names),
-        referenced=referenced,
-    )
-
-
-def _bind_window_agg(
-    plan: WindowAggPlan, infos: Mapping[str, ColumnInfo]
-) -> LogicalNode:
-    referenced = tuple(sorted(plan.profile.referenced))
-    node: LogicalNode = _scan(plan.schema, plan.stream, referenced, infos)
-    if plan.where is not None:
-        node = FilterNode(child=node, predicate=plan.where)
-    aggregates = tuple(
-        (o.agg_func or "", o.source_column or "*")
-        for o in plan.outputs + plan.hidden_outputs
-        if o.kind == OUT_AGG
-    )
-    node = WindowAggNode(
-        child=node,
-        window=plan.window,
-        group_keys=plan.group_keys,
-        aggregates=aggregates,
-    )
-    node = ProjectNode(child=node, outputs=tuple(o.name for o in plan.outputs))
-    if plan.order_by or plan.limit is not None:
-        node = OrderLimitNode(
-            child=node,
-            keys=tuple((k.output, k.desc) for k in plan.order_by),
-            limit=plan.limit,
-        )
-    return node
-
-
-def _bind_passthrough(
-    plan: PassthroughPlan, infos: Mapping[str, ColumnInfo]
-) -> LogicalNode:
-    referenced = tuple(sorted(plan.profile.referenced))
-    node: LogicalNode = _scan(plan.schema, plan.stream, referenced, infos)
-    if plan.where is not None:
-        node = FilterNode(child=node, predicate=plan.where)
-    return ProjectNode(
-        child=node,
-        outputs=tuple(o.name for o in plan.outputs),
-        distinct=plan.distinct,
-    )
-
-
-def _bind_join(
-    plan: JoinPlan, infos: Mapping[str, ColumnInfo], script: Optional[Script]
-) -> LogicalNode:
-    if plan.derived is not None:
-        inner = _bind_passthrough(plan.derived, infos)
-        name, consumers = _derived_usage(script)
-        node: LogicalNode = DeriveNode(
-            name=name, child=inner, consumers=consumers
-        )
-    else:
-        referenced = tuple(sorted(plan.profile.referenced))
-        node = _scan(plan.schema, plan.stream, referenced, infos)
-    node = JoinNode(
-        child=node,
-        window=plan.window,
-        sides=tuple(
-            JoinSideInfo(
-                binding=s.binding,
-                key_column=s.key_column,
-                probe_column=s.probe_column,
-                outer=s.outer,
-            )
-            for s in plan.sides
-        ),
-    )
-    return ProjectNode(
-        child=node,
-        outputs=tuple(o.name for o in plan.outputs),
-        distinct=plan.distinct,
-    )
-
-
-def _derived_usage(script: Optional[Script]) -> Tuple[str, int]:
-    """Name of the derived stream and how many window sources consume it."""
-    if script is None or not script.derived:
-        return "derived", 2
-    name = script.derived[0].name
-    consumers = sum(1 for src in script.main.sources if src.stream == name)
-    consumers += sum(
-        1 for clause in script.main.joins if clause.source.stream == name
-    )
-    return name, max(consumers, 1)
-
-
-def bind(
-    plan: Plan,
-    infos: Mapping[str, ColumnInfo],
-    script: Optional[Script] = None,
-) -> LogicalNode:
-    """The naive logical plan for one physical plan."""
-    if isinstance(plan, WindowAggPlan):
-        return _bind_window_agg(plan, infos)
-    if isinstance(plan, PassthroughPlan):
-        return _bind_passthrough(plan, infos)
-    if isinstance(plan, JoinPlan):
-        return _bind_join(plan, infos, script)
-    raise TypeError(f"cannot bind plan type {type(plan).__name__}")

@@ -25,16 +25,18 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from ..core.calibration import CalibrationTable
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
 from ..stream.window import MODE_PARTITION, MODE_UNBOUNDED
 from .logical import (
     ColumnInfo,
     DeriveNode,
     FilterNode,
     JoinNode,
+    LiteralPredicate,
     LogicalNode,
     MorphNode,
     OrderLimitNode,
+    PredicateGroup,
+    PredicateNode,
     ProjectNode,
     ScanNode,
     WindowAggNode,
@@ -162,7 +164,7 @@ def predicate_cost(
 def scan_context(node: ScanNode, ctx: CostContext) -> CostContext:
     """The context with the scan's own column infos taking precedence.
 
-    The binder seeds scan infos from the global catalogue, so this is
+    The optimizer binds scan infos from the global catalogue, so this is
     normally the identity; it matters when a rule rewrites a scan-local
     info — the morph rule changes one column's ``codec_hint`` to the
     morph target, and the scan must be priced on that representation.

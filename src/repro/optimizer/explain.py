@@ -17,16 +17,18 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
 from ..stream.window import WindowSpec
 from .info import OptimizerInfo
 from .logical import (
     DeriveNode,
     FilterNode,
     JoinNode,
+    LiteralPredicate,
     LogicalNode,
     MorphNode,
     OrderLimitNode,
+    PredicateGroup,
+    PredicateNode,
     ProjectNode,
     ScanNode,
     WindowAggNode,
@@ -104,7 +106,7 @@ def _node_dict(node: LogicalNode) -> Dict[str, Any]:
     if isinstance(node, ProjectNode):
         d = {
             "node": "project",
-            "outputs": list(node.outputs),
+            "outputs": [o.name for o in node.outputs],
             "input": _node_dict(node.child),
         }
         if node.distinct:

@@ -1,21 +1,22 @@
-"""The optimizer driver: bind, rewrite, choose, lower.
+"""The optimizer driver: rewrite, choose.
 
-``optimize_plan`` is the whole pipeline for one physical plan: bind the
-naive logical tree, run every rule in the static table (each rule's
-rewrite survives only if the cost model prices it strictly cheaper),
-then have the chooser compare the final tree against the naive baseline
-— if rewriting did not help, the baseline plan ships unchanged
-(``fallback=True``).  The chosen tree's annotations are then lowered
-back onto the physical plan: the (possibly reordered/simplified) WHERE
-tree, the fused aggregation column, and the :class:`OptimizerInfo`
-decision record that ``ServerReport`` and ``repro explain`` surface.
+``optimize_plan`` is the whole pipeline for one planned query: take the
+planner's naive tree with the caller's catalogue knowledge bound on its
+scan, run every rule in the static table (each rule's rewrite survives
+only if the cost model prices it strictly cheaper), then have the
+chooser compare the final tree against the naive baseline — if
+rewriting did not help, the baseline tree ships unchanged
+(``fallback=True``).  The result is the same :class:`Plan` with the
+chosen tree as its root and the :class:`OptimizerInfo` decision record
+that ``ServerReport`` and ``repro explain`` surface.
 
-Lowering never changes what a plan computes — pushdown and pruning are
+Executors build themselves from whichever tree they are handed, and a
+rewrite never changes what a plan computes: pushdown and pruning are
 already how the executor behaves (filters run first, the server only
 materializes referenced columns), so those rules alter the *estimate*
 and the rendering; cascade ordering and run fusion alter the execution
-strategy.  The differential oracle's optimized leg holds every lowered
-plan to bit-equality with its naive twin.
+strategy.  The differential oracle's optimized leg holds every chosen
+tree to bit-equality with its naive twin.
 """
 
 from __future__ import annotations
@@ -25,30 +26,20 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..core.calibration import CalibrationTable
-from ..sql.ast import Script
-from ..sql.planner import (
-    JoinPlan,
-    PassthroughPlan,
-    Plan,
-    Planner,
-    PredicateNode,
-    WindowAggPlan,
-)
-from ..sql.parser import parse
+from ..sql.planner import Planner
 from ..stream.schema import Schema
-from .binder import bind, schema_infos
+from .binder import schema_infos
 from .cost import CostContext, plan_cost
 from .explain import plan_digest
 from .info import MorphDecision, OptimizerInfo
 from .logical import (
     ColumnInfo,
-    DeriveNode,
-    FilterNode,
     LogicalNode,
     MorphNode,
+    Plan,
     ScanNode,
-    WindowAggNode,
     iter_nodes,
+    transform,
 )
 from .rules import RULES
 
@@ -57,66 +48,44 @@ from .rules import RULES
 class OptimizeResult:
     """Everything one optimization pass produced."""
 
-    plan: Plan                 # the physical plan to execute (lowered)
-    root: LogicalNode          # the chosen logical tree (for rendering)
-    baseline_root: LogicalNode  # the naive tree the binder produced
-    info: OptimizerInfo
+    plan: Plan                  # the plan to execute: chosen tree + decision
+    baseline_root: LogicalNode  # the naive tree, catalogue knowledge bound
+
+    @property
+    def root(self) -> LogicalNode:
+        return self.plan.root
+
+    @property
+    def info(self) -> OptimizerInfo:
+        assert self.plan.opt is not None
+        return self.plan.opt
 
 
-def _extract_where(root: LogicalNode) -> Optional[PredicateNode]:
-    for node in iter_nodes(root):
-        if isinstance(node, FilterNode):
-            return node.predicate
-        if isinstance(node, ScanNode) and node.predicate is not None:
-            return node.predicate
-    return None
+def _with_infos(root: LogicalNode, infos: Mapping[str, ColumnInfo]) -> LogicalNode:
+    """The tree with every scan's column infos taken from ``infos``."""
 
-
-def _extract_fuse(root: LogicalNode) -> str:
-    for node in iter_nodes(root):
-        if isinstance(node, WindowAggNode):
-            return node.fuse_column
-    return ""
-
-
-def _lower(plan: Plan, root: LogicalNode, info: OptimizerInfo) -> Plan:
-    """Write the chosen tree's annotations back onto the physical plan."""
-    if isinstance(plan, WindowAggPlan):
+    def visit(node: LogicalNode) -> LogicalNode:
+        if not isinstance(node, ScanNode):
+            return node
         return dataclasses.replace(
-            plan,
-            where=_extract_where(root),
-            fuse_column=_extract_fuse(root),
-            opt=info,
+            node,
+            infos=tuple(infos.get(n, ColumnInfo(name=n)) for n in node.columns),
         )
-    if isinstance(plan, PassthroughPlan):
-        return dataclasses.replace(plan, where=_extract_where(root), opt=info)
-    if isinstance(plan, JoinPlan):
-        derived = plan.derived
-        if derived is not None:
-            derive_node = next(
-                (n for n in iter_nodes(root) if isinstance(n, DeriveNode)),
-                None,
-            )
-            if derive_node is not None:
-                derived = dataclasses.replace(
-                    derived, where=_extract_where(derive_node.child)
-                )
-        return dataclasses.replace(plan, derived=derived, opt=info)
-    raise TypeError(f"cannot lower plan type {type(plan).__name__}")
+
+    return transform(root, visit)
 
 
 def optimize_plan(
     plan: Plan,
     infos: Optional[Mapping[str, ColumnInfo]] = None,
-    script: Optional[Script] = None,
     rows: int = 4096,
     calibration: Optional[CalibrationTable] = None,
 ) -> OptimizeResult:
-    """Bind, rewrite, choose and lower one physical plan."""
+    """Rewrite and choose the tree of one naive plan."""
     if infos is None:
         infos = schema_infos(plan.schema)
     ctx = CostContext(infos=infos, rows=rows, calibration=calibration)
-    baseline = bind(plan, infos, script=script)
+    baseline = _with_infos(plan.root, infos)
     baseline_cost = plan_cost(baseline, ctx)
 
     root = baseline
@@ -155,10 +124,8 @@ def optimize_plan(
         morphs=morphs,
     )
     return OptimizeResult(
-        plan=_lower(plan, root, info),
-        root=root,
+        plan=dataclasses.replace(plan, root=root, opt=info),
         baseline_root=baseline,
-        info=info,
     )
 
 
@@ -169,18 +136,14 @@ def plan_for_engine(
     codec_hint: str = "",
     calibration: Optional[CalibrationTable] = None,
 ) -> Plan:
-    """Parse, plan and (by default) optimize a query for the engine.
+    """Plan and (by default) optimize a query for the engine.
 
     ``codec_hint`` names a pinned codec (the engine's ``static:<name>``
     modes) so the rules can price run/plane representations; adaptive
     modes pass no hint and rules that need run evidence refuse.
     """
-    script = parse(query)
-    plan = Planner(catalog).plan(script)
+    plan = Planner(catalog).plan_text(query)
     if not optimize:
         return plan
     infos = schema_infos(plan.schema, codec_hint=codec_hint)
-    result = optimize_plan(
-        plan, infos, script=script, calibration=calibration
-    )
-    return result.plan
+    return optimize_plan(plan, infos, calibration=calibration).plan

@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import ClassVar, List, Optional, Tuple
 
-from ..sql.planner import LiteralPredicate, PredicateGroup, PredicateNode
 from .cost import (
     MORPH_TARGETS,
     CostContext,
@@ -33,9 +32,12 @@ from .logical import (
     DeriveNode,
     FilterNode,
     JoinNode,
+    LiteralPredicate,
     LogicalNode,
     MorphNode,
     OrderLimitNode,
+    PredicateGroup,
+    PredicateNode,
     ProjectNode,
     ScanNode,
     WindowAggNode,
@@ -79,8 +81,8 @@ class RewriteRule:
 class ProjectionPrune(RewriteRule):
     """Shrink the scan to the columns the query references.
 
-    The binder's naive scan emits every schema column; the planner's
-    query profile knows which ones any operator actually reads.  Refuses
+    The planner's naive scan emits every schema column; its query
+    profile knows which ones any operator actually reads.  Refuses
     when the scan is already minimal or nothing is referenced (a bare
     ``count(*)`` still needs one column for row counts).
     """
@@ -408,7 +410,7 @@ def _columns_used_outside_scan_predicates(root: LogicalNode) -> frozenset:
             if node.window.time_column:
                 used.add(node.window.time_column)
         elif isinstance(node, ProjectNode):
-            used.update(node.outputs)
+            used.update(o.name for o in node.outputs)
         elif isinstance(node, OrderLimitNode):
             used.update(name for name, _ in node.keys)
         elif isinstance(node, JoinNode):

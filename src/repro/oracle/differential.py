@@ -43,20 +43,23 @@ from ..compression.kernels import scalar_reference_mode
 from ..compression.registry import PAPER_POOL, get_codec
 from ..core.profiler import CoverageMatrix
 from ..core.server import Server
-from ..errors import CodecNotApplicable, ReproError
-from ..sql.executor import QueryResult
-from ..sql.planner import (
+from ..errors import CodecNotApplicable
+from ..optimizer.logical import (
     OUT_AGG,
     OUT_COLUMN,
     OUT_EXPR,
     OUT_KEY,
     OUT_LAST,
-    JoinPlan,
+    FilterNode,
+    JoinNode,
     LiteralPredicate,
-    PassthroughPlan,
     Plan,
-    WindowAggPlan,
+    ProjectNode,
+    ScanNode,
+    WindowAggNode,
+    iter_nodes,
 )
+from ..sql.executor import QueryResult, _expr_refs
 from ..stats import ColumnStats
 from ..stream.batch import Batch, CompressedBatch
 from ..stream.window import MODE_TIME
@@ -241,39 +244,36 @@ def column_operator_kinds(plan: Plan) -> Dict[str, Set[str]]:
             for child in node.children:
                 mark_predicate(child)
 
-    if isinstance(plan, WindowAggPlan):
-        mark_predicate(plan.where)
-        for key in plan.group_keys:
-            mark(key, "groupby")
-        for out in plan.outputs + plan.hidden_outputs:
-            if out.kind == OUT_AGG:
-                mark(out.source_column, "aggregation")
-            elif out.kind in (OUT_KEY, OUT_LAST):
-                mark(out.source_column, "projection")
-        if plan.window.mode == MODE_TIME:
-            mark(plan.window.time_column, "window")
-    elif isinstance(plan, PassthroughPlan):
-        mark_predicate(plan.where)
-        for out in plan.outputs:
-            if out.kind == OUT_COLUMN:
-                mark(out.source_column, "projection")
-                if plan.distinct:
-                    mark(out.source_column, "distinct")
-            elif out.kind == OUT_EXPR and out.expr is not None:
-                from ..sql.executor import _expr_refs
-
-                for ref in _expr_refs(out.expr):
-                    mark(ref.name, "projection")
-    elif isinstance(plan, JoinPlan):
-        for side in plan.sides:
-            mark(side.key_column, "join")
-            mark(side.probe_column, "join")
-        for out in plan.outputs:
-            mark(out.source_column, "projection")
-        if plan.window.mode == MODE_TIME:
-            mark(plan.window.time_column, "window")
-    else:  # pragma: no cover - plan taxonomy is closed
-        raise ReproError(f"unknown plan type {type(plan).__name__}")
+    for node in iter_nodes(plan.root):
+        if isinstance(node, (FilterNode, ScanNode)):
+            mark_predicate(node.predicate)
+        elif isinstance(node, WindowAggNode):
+            for key in node.group_keys:
+                mark(key, "groupby")
+            for out in node.outputs:
+                if out.kind == OUT_AGG:
+                    mark(out.source_column, "aggregation")
+                elif out.kind in (OUT_KEY, OUT_LAST):
+                    mark(out.source_column, "projection")
+            if node.window.mode == MODE_TIME:
+                mark(node.window.time_column, "window")
+        elif isinstance(node, JoinNode):
+            for side in node.sides:
+                mark(side.key_column, "join")
+                mark(side.probe_column, "join")
+            if node.window.mode == MODE_TIME:
+                mark(node.window.time_column, "window")
+        elif isinstance(node, ProjectNode):
+            # join output dedup runs on values, never on a codec's codes
+            dedup = node.distinct and not isinstance(node.child, JoinNode)
+            for out in node.outputs:
+                if out.kind == OUT_COLUMN:
+                    mark(out.source_column, "projection")
+                    if dedup:
+                        mark(out.source_column, "distinct")
+                elif out.kind == OUT_EXPR and out.expr is not None:
+                    for ref in _expr_refs(out.expr):
+                        mark(ref.name, "projection")
     return kinds
 
 

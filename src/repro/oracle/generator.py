@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..optimizer import Plan, optimize_plan, schema_infos, stats_from_columns
 from ..sql.ast import (
     AggregateCall,
     BoolExpr,
@@ -33,10 +34,11 @@ from ..sql.ast import (
     Literal,
     OrderItem,
     Query,
+    Script,
     SelectItem,
     SourceRef,
 )
-from ..sql.planner import Plan, Planner
+from ..sql.planner import Planner
 from ..sql.unparse import to_sql
 from ..stream.batch import Batch
 from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
@@ -69,14 +71,12 @@ class OracleCase:
         return {self.stream: self.schema}
 
     def plan(self) -> Plan:
-        return Planner(self.catalog).plan(_as_script(self.query))
+        return Planner(self.catalog).plan(Script(derived=(), main=self.query))
 
     def optimized_plan(self, codec_hint: str = "") -> Plan:
         """The plan after the rule-based optimizer, with statistics bound
         from this case's own batches (the richest context the rules can
         get: codec hint + real run lengths / ranges / cardinalities)."""
-        from ..optimizer import optimize_plan, schema_infos, stats_from_columns
-
         merged = {
             f.name: np.concatenate([b[f.name] for b in self.batches])
             for f in self.schema
@@ -84,10 +84,7 @@ class OracleCase:
         } if self.batches else {}
         stats = stats_from_columns(self.schema, merged)
         infos = schema_infos(self.schema, codec_hint=codec_hint, stats=stats)
-        result = optimize_plan(
-            self.plan(), infos, script=_as_script(self.query)
-        )
-        return result.plan
+        return optimize_plan(self.plan(), infos).plan
 
     def to_batches(self) -> List[Batch]:
         return [Batch(self.schema, columns) for columns in self.batches]
@@ -103,12 +100,6 @@ class OracleCase:
             f"OracleCase(id={self.case_id}, rows={self.n_rows}, "
             f"cols={len(self.schema)}, sql={self.sql!r})"
         )
-
-
-def _as_script(query: Query):
-    from ..sql.ast import Script
-
-    return Script(derived=(), main=query)
 
 
 # ----- drifting column regimes -----------------------------------------

@@ -1,5 +1,13 @@
 """Streaming SQL: lexer, parser, planner and executors (Table III dialect)."""
 
+from ..optimizer.logical import (
+    HavingGroup,
+    HavingPredicate,
+    JoinSide,
+    LiteralPredicate,
+    OutputColumn,
+    Plan,
+)
 from .ast import (
     AggregateCall,
     BinaryOp,
@@ -20,24 +28,12 @@ from .executor import (
     QueryResult,
     WindowAggExecutor,
     make_executor,
+    plan_shape,
 )
 from .lexer import Token, tokenize
 from .parser import parse, parse_query
+from .planner import Planner, plan_query
 from .unparse import to_sql
-from .planner import (
-    HavingGroup,
-    HavingPredicate,
-    JoinPlan,
-    JoinSide,
-    LiteralPredicate,
-    OrderKey,
-    OutputColumn,
-    PassthroughPlan,
-    Plan,
-    Planner,
-    WindowAggPlan,
-    plan_query,
-)
 
 __all__ = [
     "AggregateCall",
@@ -57,6 +53,7 @@ __all__ = [
     "QueryResult",
     "WindowAggExecutor",
     "make_executor",
+    "plan_shape",
     "Token",
     "tokenize",
     "parse",
@@ -64,14 +61,10 @@ __all__ = [
     "to_sql",
     "HavingGroup",
     "HavingPredicate",
-    "JoinPlan",
     "JoinSide",
     "LiteralPredicate",
-    "OrderKey",
     "OutputColumn",
-    "PassthroughPlan",
     "Plan",
     "Planner",
-    "WindowAggPlan",
     "plan_query",
 ]

@@ -1,6 +1,11 @@
 """Plan executors: run compiled queries batch-by-batch on ExecColumns.
 
-The server hands each executor a dict of :class:`ExecColumn` per batch —
+Each executor builds itself from a logical tree (the planner's naive
+tree or the optimizer's rewrite of it): the WHERE from whichever Filter
+or Scan node holds it, the cascade order from ``PredicateGroup.ordered``,
+the fused column from the WindowAgg node, and the materialized columns
+from the scan's ``referenced``.  The server hands each executor a dict
+of :class:`ExecColumn` per batch —
 direct (compressed codes) when the codec serves every use of the column,
 decoded otherwise — and the executor produces a :class:`QueryResult`.
 Batches whose windows never cross a batch boundary execute entirely on the
@@ -11,7 +16,17 @@ batch-buffer tail (DESIGN.md §2, Sec. VI of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -31,24 +46,40 @@ from ..stream.window import (
     TimeWindowScheduler,
     WindowScheduler,
 )
-from .ast import BinaryOp, ColumnRef, Expr, Literal
-from .planner import (
+from ..optimizer.logical import (
     OUT_AGG,
     OUT_COLUMN,
     OUT_EXPR,
     OUT_KEY,
     OUT_LAST,
+    DeriveNode,
     HavingNode,
     HavingPredicate,
-    JoinPlan,
+    JoinNode,
     LiteralPredicate,
+    LogicalNode,
+    OrderLimitNode,
     OutputColumn,
-    PassthroughPlan,
     Plan,
     PredicateGroup,
     PredicateNode,
-    WindowAggPlan,
+    ProjectNode,
+    ScanNode,
+    WindowAggNode,
+    find_node,
+    iter_nodes,
+    where_of,
 )
+from .ast import BinaryOp, ColumnRef, Expr, Literal
+
+N = TypeVar("N", bound=LogicalNode)
+
+
+def _node(root: LogicalNode, node_type: Type[N]) -> N:
+    node = find_node(root, node_type)
+    if node is None:
+        raise PlanningError(f"plan has no {node_type.__name__} node")
+    return node
 
 
 @dataclass
@@ -210,22 +241,34 @@ def _apply_where_fused(
 class WindowAggExecutor:
     """Executes Q1/Q2/Q4/Q5/Q6-shaped plans (count or time windows)."""
 
-    def __init__(self, plan: WindowAggPlan):
-        self.plan = plan
-        if plan.window.mode == MODE_TIME:
-            self.scheduler = TimeWindowScheduler(plan.window)
+    def __init__(self, root: LogicalNode):
+        agg = _node(root, WindowAggNode)
+        order = find_node(root, OrderLimitNode)
+        self.window = agg.window
+        self.group_keys = agg.group_keys
+        #: visible select list, then every computed column (hidden
+        #: HAVING/ORDER BY aggregates included)
+        self.outputs = _node(root, ProjectNode).outputs
+        self.all_outputs = agg.outputs
+        self.having = agg.having
+        self.order_by = order.keys if order is not None else ()
+        self.limit = order.limit if order is not None else None
+        self.where = where_of(root)
+        self.fuse_column = agg.fuse_column
+        if self.window.mode == MODE_TIME:
+            self.scheduler = TimeWindowScheduler(self.window)
         else:
-            self.scheduler = WindowScheduler(plan.window)
+            self.scheduler = WindowScheduler(self.window)
         self._tail: Dict[str, np.ndarray] = {}
-        self._referenced = sorted(plan.profile.referenced)
+        self._referenced = _node(root, ScanNode).referenced
 
     def _feed_scheduler(self, columns: Dict[str, ExecColumn], n: int):
-        if self.plan.window.mode != MODE_TIME:
+        if self.window.mode != MODE_TIME:
             return self.scheduler.feed(n)
         # time windows assign tuples by timestamp value: merge the carried
         # tail's timestamps with the new batch's and let the scheduler
         # translate time bounds into index extents
-        tc = self.plan.window.time_column
+        tc = self.window.time_column
         new_ts = columns[tc].values() if n else np.zeros(0, dtype=np.int64)
         tail_ts = self._tail.get(tc)
         merged_ts = (
@@ -234,14 +277,13 @@ class WindowAggExecutor:
         return self.scheduler.feed(merged_ts)
 
     def execute(self, columns: Dict[str, ExecColumn], n: int) -> QueryResult:
-        plan = self.plan
         columns = {name: columns[name] for name in self._referenced}
-        if plan.fuse_column:
+        if self.fuse_column:
             columns, n = _apply_where_fused(
-                columns, plan.where, plan.fuse_column, n
+                columns, self.where, self.fuse_column, n
             )
         else:
-            columns, n = _apply_where(columns, plan.where, n)
+            columns, n = _apply_where(columns, self.where, n)
         layout = self._feed_scheduler(columns, n)
         if layout.carry:
             merged = {
@@ -256,7 +298,7 @@ class WindowAggExecutor:
         result = (
             self._run_windows(work, list(layout.windows))
             if layout.windows
-            else QueryResult.empty(plan.outputs)
+            else QueryResult.empty(self.outputs)
         )
         # retain the decoded tail for cross-batch windows of the next feed
         total = layout.carry + n
@@ -279,7 +321,7 @@ class WindowAggExecutor:
     def _run_windows(
         self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
     ) -> QueryResult:
-        if self.plan.group_keys:
+        if self.group_keys:
             return self._run_grouped(work, windows)
         return self._run_global(work, windows)
 
@@ -311,16 +353,15 @@ class WindowAggExecutor:
         self, out: Dict[str, np.ndarray], window_ids: np.ndarray
     ) -> QueryResult:
         """HAVING filter, per-window ORDER BY/LIMIT, drop hidden columns."""
-        plan = self.plan
-        visible = [o.name for o in plan.outputs]
+        visible = [o.name for o in self.outputs]
         n_rows = len(next(iter(out.values()))) if out else 0
-        if plan.having is not None and n_rows:
-            mask = self._having_mask(plan.having, out)
+        if self.having is not None and n_rows:
+            mask = self._having_mask(self.having, out)
             if not mask.all():
                 out = {name: arr[mask] for name, arr in out.items()}
                 window_ids = window_ids[mask]
                 n_rows = int(mask.sum())
-        if plan.order_by and n_rows:
+        if self.order_by and n_rows:
             out, n_rows = self._order_and_limit(out, window_ids, n_rows)
         return QueryResult(
             columns={name: out[name] for name in visible}, n_rows=n_rows
@@ -337,21 +378,20 @@ class WindowAggExecutor:
         aggregates are computed in the stored integer domain, making the
         sort key values bit-equal path to path.
         """
-        plan = self.plan
         # np.lexsort keys run least- to most-significant: visible-column
         # tie-break first, then the ORDER BY keys (first key most
         # significant among them), then the window id outermost so rows
         # never interleave across windows
         lex_keys: List[np.ndarray] = [
             out[name]
-            for name in sorted((o.name for o in plan.outputs), reverse=True)
+            for name in sorted((o.name for o in self.outputs), reverse=True)
         ]
-        for key in reversed(plan.order_by):
-            arr = out[key.output]
-            lex_keys.append(-arr if key.desc else arr)
+        for name, desc in reversed(self.order_by):
+            arr = out[name]
+            lex_keys.append(-arr if desc else arr)
         lex_keys.append(window_ids)
         order = np.lexsort(tuple(lex_keys))
-        if plan.limit is not None:
+        if self.limit is not None:
             wid_sorted = window_ids[order]
             change = np.empty(n_rows, dtype=bool)
             change[0] = True
@@ -359,7 +399,7 @@ class WindowAggExecutor:
             run_starts = np.nonzero(change)[0]
             run_ids = np.cumsum(change) - 1
             rank = np.arange(n_rows) - run_starts[run_ids]
-            order = order[rank < plan.limit]
+            order = order[rank < self.limit]
         return {name: arr[order] for name, arr in out.items()}, int(order.size)
 
     def _run_global(
@@ -368,7 +408,7 @@ class WindowAggExecutor:
         ends = np.asarray([e for _, e in windows], dtype=np.int64)
         last_rows = ends - 1
         out: Dict[str, np.ndarray] = {}
-        for o in self.plan.outputs + self.plan.hidden_outputs:
+        for o in self.all_outputs:
             if o.kind == OUT_AGG:
                 if o.source_column is None:  # count(*)
                     stored = np.asarray([e - s for s, e in windows], dtype=np.int64)
@@ -389,10 +429,8 @@ class WindowAggExecutor:
     def _run_grouped(
         self, work: Dict[str, ExecColumn], windows: List[Tuple[int, int]]
     ) -> QueryResult:
-        plan = self.plan
-        combined = combine_keys([work[k] for k in plan.group_keys])
-        all_outputs = plan.outputs + plan.hidden_outputs
-        agg_outputs = [o for o in all_outputs if o.kind == OUT_AGG]
+        combined = combine_keys([work[k] for k in self.group_keys])
+        agg_outputs = [o for o in self.all_outputs if o.kind == OUT_AGG]
         agg_cols = [
             work[o.source_column] if o.source_column else None for o in agg_outputs
         ]
@@ -411,7 +449,7 @@ class WindowAggExecutor:
         )
         out: Dict[str, np.ndarray] = {}
         agg_idx = 0
-        for o in all_outputs:
+        for o in self.all_outputs:
             if o.kind == OUT_AGG:
                 pos = agg_idx
                 stored = (
@@ -441,20 +479,22 @@ class WindowAggExecutor:
 class PassthroughExecutor:
     """Executes ``[range unbounded]`` plans (per-tuple projection)."""
 
-    def __init__(self, plan: PassthroughPlan):
-        self.plan = plan
+    def __init__(self, root: LogicalNode):
+        project = _node(root, ProjectNode)
+        self.outputs = project.outputs
+        self.distinct = project.distinct
+        self.where = where_of(root)
 
     def compute_stored(
         self, columns: Dict[str, ExecColumn], n: int
     ) -> Dict[str, np.ndarray]:
         """Projected output columns in the stored integer domain."""
-        plan = self.plan
-        columns, n = _apply_where(columns, plan.where, n)
+        columns, n = _apply_where(columns, self.where, n)
         indices = np.arange(n, dtype=np.int64)
-        if plan.distinct:
+        if self.distinct:
             dedup_cols = [
                 columns[o.source_column]
-                for o in plan.outputs
+                for o in self.outputs
                 if o.kind == OUT_COLUMN
             ]
             if dedup_cols:
@@ -467,7 +507,7 @@ class PassthroughExecutor:
             return values_cache[name]
 
         out: Dict[str, np.ndarray] = {}
-        for o in plan.outputs:
+        for o in self.outputs:
             if o.kind == OUT_COLUMN:
                 col = columns[o.source_column]
                 # output delivery of the post-WHERE/DISTINCT selection:
@@ -482,9 +522,7 @@ class PassthroughExecutor:
 
     def execute(self, columns: Dict[str, ExecColumn], n: int) -> QueryResult:
         stored = self.compute_stored(columns, n)
-        out = {
-            o.name: _convert_output(o, stored[o.name]) for o in self.plan.outputs
-        }
+        out = {o.name: _convert_output(o, stored[o.name]) for o in self.outputs}
         n_rows = len(next(iter(out.values()))) if out else 0
         return QueryResult(columns=out, n_rows=n_rows)
 
@@ -507,17 +545,21 @@ class JoinExecutor:
     NaN/probe-value fills for LEFT OUTER misses.
     """
 
-    def __init__(self, plan: JoinPlan):
-        self.plan = plan
-        self.derived = PassthroughExecutor(plan.derived) if plan.derived else None
-        if plan.window.mode == MODE_TIME:
-            self.scheduler = TimeWindowScheduler(plan.window)
+    def __init__(self, root: LogicalNode):
+        join = _node(root, JoinNode)
+        derive = find_node(root, DeriveNode)
+        self.derived = (
+            PassthroughExecutor(derive.child) if derive is not None else None
+        )
+        self.window = join.window
+        self.outputs = _node(root, ProjectNode).outputs
+        self.output_sides = join.output_sides
+        if self.window.mode == MODE_TIME:
+            self.scheduler = TimeWindowScheduler(self.window)
         else:
-            self.scheduler = WindowScheduler(plan.window)
-        self.sides = plan.sides
+            self.scheduler = WindowScheduler(self.window)
+        self.sides = join.sides
         self.states = [PartitionWindowState(side.window) for side in self.sides]
-        # backwards-compatible alias for the single-side state
-        self.state = self.states[0]
         only = self.sides[0]
         self._semi = (
             len(self.sides) == 1
@@ -528,17 +570,16 @@ class JoinExecutor:
         self._absorbed = 0       # global count of rows absorbed into state
         self._merged_start = 0   # global index of merged[0]
         # columns the join consumes from the (derived) stream
-        needed = {o.source_column for o in plan.outputs}
+        needed = {o.source_column for o in self.outputs}
         for side in self.sides:
             needed.add(side.probe_column)
             needed.add(side.key_column)
-        if plan.window.mode == MODE_TIME:
-            needed.add(plan.window.time_column)
+        if self.window.mode == MODE_TIME:
+            needed.add(self.window.time_column)
         self._needed = sorted(needed)
-        self._state_schema = Schema([plan.join_schema[name] for name in self._needed])
+        self._state_schema = Schema([join.schema[name] for name in self._needed])
 
     def execute(self, columns: Dict[str, ExecColumn], n: int) -> QueryResult:
-        plan = self.plan
         if self.derived is not None:
             stored = self.derived.compute_stored(columns, n)
         else:
@@ -552,8 +593,8 @@ class JoinExecutor:
             )
             for name in self._needed
         }
-        if plan.window.mode == MODE_TIME:
-            layout = self.scheduler.feed(merged[plan.window.time_column])
+        if self.window.mode == MODE_TIME:
+            layout = self.scheduler.feed(merged[self.window.time_column])
         else:
             layout = self.scheduler.feed(n_rows)
         results: List[QueryResult] = []
@@ -583,27 +624,26 @@ class JoinExecutor:
             self._tail = {}
         self._merged_start += layout.retain_start
         if not results:
-            return QueryResult.empty(plan.outputs)
+            return QueryResult.empty(self.outputs)
         return QueryResult.merge(results)
 
     def _probe_semi(
         self, merged: Dict[str, np.ndarray], s: int, e: int
     ) -> Optional[QueryResult]:
-        plan = self.plan
-        rows = semi_join_latest(merged[plan.join_key][s:e], self.state)
+        key = self.sides[0].key_column
+        rows = semi_join_latest(merged[key][s:e], self.states[0])
         if not rows:
             return None
         out = {
             o.name: _convert_output(o, rows[o.source_column])
-            for o in plan.outputs
+            for o in self.outputs
         }
-        return QueryResult(columns=out, n_rows=len(rows[plan.join_key]))
+        return QueryResult(columns=out, n_rows=len(rows[key]))
 
     def _probe_general(
         self, merged: Dict[str, np.ndarray], s: int, e: int
     ) -> Optional[QueryResult]:
         """Multi-way/outer probe: one row per distinct probe combination."""
-        plan = self.plan
         probes = np.stack(
             [
                 np.asarray(merged[side.probe_column][s:e], dtype=np.int64)
@@ -628,7 +668,7 @@ class JoinExecutor:
         if not keep.any():
             return None
         out: Dict[str, np.ndarray] = {}
-        for o, i in zip(plan.outputs, plan.output_sides):
+        for o, i in zip(self.outputs, self.output_sides):
             side = self.sides[i]
             vals = lookups[i][o.source_column]
             missing = ~founds[i]
@@ -652,12 +692,25 @@ class JoinExecutor:
             state.update(batch)
 
 
+#: executor class per tree shape (see :func:`plan_shape`)
+_EXECUTORS: Dict[str, Callable[[LogicalNode], Any]] = {
+    "window-agg": WindowAggExecutor,
+    "passthrough": PassthroughExecutor,
+    "join": JoinExecutor,
+}
+
+
+def plan_shape(root: LogicalNode) -> str:
+    """The executor shape of a tree: ``join``, ``window-agg`` or
+    ``passthrough`` (a derived stream under a join is part of the join)."""
+    for node in iter_nodes(root):
+        if isinstance(node, JoinNode):
+            return "join"
+        if isinstance(node, WindowAggNode):
+            return "window-agg"
+    return "passthrough"
+
+
 def make_executor(plan: Plan):
-    """Instantiate the executor matching a plan's shape."""
-    if isinstance(plan, WindowAggPlan):
-        return WindowAggExecutor(plan)
-    if isinstance(plan, JoinPlan):
-        return JoinExecutor(plan)
-    if isinstance(plan, PassthroughPlan):
-        return PassthroughExecutor(plan)
-    raise PlanningError(f"no executor for plan type {type(plan).__name__}")
+    """Instantiate the executor for a plan's tree shape."""
+    return _EXECUTORS[plan_shape(plan.root)](plan.root)

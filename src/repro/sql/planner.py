@@ -1,14 +1,17 @@
-"""Query planner: binds parsed scripts to stream schemas and derives the
-per-column direct-processing requirements of DESIGN.md §2.
+"""Query planner: binds parsed scripts to stream schemas, derives the
+per-column direct-processing requirements of DESIGN.md §2, and emits the
+naive logical tree (:mod:`repro.optimizer.logical`) in SQL evaluation
+order.  Three tree shapes cover the dialect:
 
-Three plan shapes cover the dialect:
-
-* :class:`WindowAggPlan` — single count-windowed source with optional
-  group-by and aggregates (Q1, Q2, Q4, Q5, Q6);
-* :class:`PassthroughPlan` — ``[range unbounded]`` per-tuple projection and
-  selection, also used for derived streams (Q3's SegSpeedStr);
-* :class:`JoinPlan` — sliding window ⋈ partition window equi-join with
-  distinct output (Q3).
+* window aggregation — ``Scan → Filter → WindowAgg → Project →
+  OrderLimit`` over a single count/time-windowed source with optional
+  group-by, HAVING and ORDER BY/LIMIT (Q1, Q2, Q4, Q5, Q6);
+* passthrough — ``Scan → Filter → Project`` for ``[range unbounded]``
+  per-tuple projection and selection, also the body of derived streams
+  (Q3's SegSpeedStr);
+* join — ``(Scan | Derive) → Join → Project``: a sliding window ⋈ one or
+  more partition windows of the same stream (Q3 and the explicit
+  ``[LEFT] JOIN ... ON`` form).
 
 The planner computes a :class:`~repro.core.query_profile.QueryProfile`
 whose :class:`ColumnUse` entries tell both the cost model and the server
@@ -17,23 +20,38 @@ which columns can be served directly by which codecs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # plans carry optimizer records without a module cycle
-    from ..optimizer.info import OptimizerInfo
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..compression.base import CAP_AFFINE, CAP_EQUALITY, CAP_ORDER
 from ..core.query_profile import ColumnUse, QueryProfile
 from ..errors import PlanningError
-from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
-from ..stream.window import (
-    MODE_COUNT,
-    MODE_PARTITION,
-    MODE_TIME,
-    MODE_UNBOUNDED,
-    WindowSpec,
+from ..optimizer.logical import (
+    OUT_AGG,
+    OUT_COLUMN,
+    OUT_EXPR,
+    OUT_KEY,
+    OUT_LAST,
+    ColumnInfo,
+    DeriveNode,
+    FilterNode,
+    HavingGroup,
+    HavingNode,
+    HavingPredicate,
+    JoinNode,
+    JoinSide,
+    LiteralPredicate,
+    LogicalNode,
+    OrderLimitNode,
+    OutputColumn,
+    Plan,
+    PredicateGroup,
+    PredicateNode,
+    ProjectNode,
+    ScanNode,
+    WindowAggNode,
 )
+from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
+from ..stream.window import MODE_COUNT, MODE_PARTITION, MODE_TIME, MODE_UNBOUNDED
 from .ast import (
     AggregateCall,
     BinaryOp,
@@ -50,182 +68,6 @@ from .ast import (
     SourceRef,
 )
 from .parser import parse
-
-# ----- plan dataclasses ------------------------------------------------
-
-OUT_KEY = "key"        # group-by key column
-OUT_LAST = "last"      # non-aggregated column under windowing: last row
-OUT_AGG = "aggregate"  # avg/sum/max/min/count
-OUT_COLUMN = "column"  # plain per-tuple column (passthrough)
-OUT_EXPR = "expr"      # arithmetic expression per tuple
-
-
-@dataclass(frozen=True)
-class OutputColumn:
-    """One column of the query result."""
-
-    name: str
-    kind: str
-    source_column: Optional[str] = None
-    agg_func: Optional[str] = None
-    expr: Optional[Expr] = None
-    out_field: Field = Field("out")
-    #: decimals of the *source* field: aggregates computed in the stored
-    #: fixed-point domain are rescaled by 10**src_decimals at output time
-    src_decimals: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind in (OUT_KEY, OUT_LAST, OUT_COLUMN) and not self.source_column:
-            raise PlanningError(f"output {self.name!r} needs a source column")
-        if self.kind == OUT_AGG and not self.agg_func:
-            raise PlanningError(f"output {self.name!r} needs an aggregate function")
-        if self.kind == OUT_EXPR and self.expr is None:
-            raise PlanningError(f"output {self.name!r} needs an expression")
-
-
-@dataclass(frozen=True)
-class LiteralPredicate:
-    """``column <op> literal`` in the stored integer domain."""
-
-    column: str
-    op: str
-    literal: int
-
-
-@dataclass(frozen=True)
-class PredicateGroup:
-    """AND/OR tree over literal predicates (evaluated as boolean masks)."""
-
-    op: str  # "and" | "or"
-    children: Tuple["PredicateNode", ...]
-    #: set by the optimizer's selection-reorder rule on a top-level AND:
-    #: the executor evaluates the conjuncts as a short-circuit cascade
-    #: (each child sees only the survivors of the previous one), in the
-    #: order given.  Only meaningful for ``op == "and"``.
-    ordered: bool = False
-
-
-PredicateNode = Union[LiteralPredicate, PredicateGroup]
-
-
-@dataclass(frozen=True)
-class HavingPredicate:
-    """``<output> <op> literal`` over the converted (user-domain) results.
-
-    ``output`` names either a select-list column or a hidden aggregate the
-    planner added solely for the HAVING evaluation.
-    """
-
-    output: str
-    op: str
-    literal: float
-
-
-@dataclass(frozen=True)
-class HavingGroup:
-    """AND/OR tree over having predicates (mirrors :class:`PredicateGroup`
-    but evaluated on converted per-window result rows)."""
-
-    op: str  # "and" | "or"
-    children: Tuple["HavingNode", ...]
-
-
-HavingNode = Union[HavingPredicate, HavingGroup]
-
-
-@dataclass(frozen=True)
-class OrderKey:
-    """One resolved ORDER BY key: an output (possibly hidden) column."""
-
-    output: str
-    desc: bool = False
-
-
-@dataclass
-class WindowAggPlan:
-    stream: str
-    schema: Schema
-    window: WindowSpec
-    outputs: Tuple[OutputColumn, ...]
-    group_keys: Tuple[str, ...]
-    where: Optional[PredicateNode]
-    profile: QueryProfile
-    #: aggregates computed only to evaluate HAVING/ORDER BY, dropped from
-    #: the visible results
-    hidden_outputs: Tuple[OutputColumn, ...] = ()
-    having: Optional[HavingNode] = None
-    #: per-window sort keys; ties are broken on every visible column so
-    #: the row order is deterministic across execution paths
-    order_by: Tuple[OrderKey, ...] = ()
-    #: per-window row cap, applied after ORDER BY
-    limit: Optional[int] = None
-    #: set by the optimizer's filter+aggregate fusion rule: the WHERE
-    #: predicate is single-column on this column and the executor may
-    #: evaluate it at run granularity, keeping the column run-structured
-    #: through aggregation (falls back to row filtering when the batch
-    #: carries no run view)
-    fuse_column: str = ""
-    #: optimizer decision record (rules fired, costs, digest); None when
-    #: the plan never went through the optimizer
-    opt: Optional["OptimizerInfo"] = None
-
-
-@dataclass
-class PassthroughPlan:
-    stream: str
-    schema: Schema
-    outputs: Tuple[OutputColumn, ...]
-    where: Optional[PredicateNode]
-    distinct: bool
-    profile: QueryProfile
-    #: optimizer decision record; None when never optimized
-    opt: Optional["OptimizerInfo"] = None
-
-    @property
-    def output_schema(self) -> Schema:
-        return Schema([out.out_field for out in self.outputs])
-
-
-@dataclass(frozen=True)
-class JoinSide:
-    """One partition-window side of the join.
-
-    ``probe_column`` is the window-side column whose values probe this
-    side's state; ``key_column`` is the side's partition-by column.  The
-    legacy comma-form join has ``probe_column == key_column``; the
-    explicit ``JOIN ... ON`` form may probe with a different column,
-    which is what makes LEFT OUTER misses observable.
-    """
-
-    binding: str
-    window: WindowSpec
-    probe_column: str
-    key_column: str
-    outer: bool = False
-
-
-@dataclass
-class JoinPlan:
-    stream: str                       # physical input stream
-    schema: Schema                    # physical input schema
-    derived: Optional[PassthroughPlan]  # applied per batch before the join
-    join_schema: Schema               # schema the join sides see
-    window: WindowSpec                # probe side A (count/time window)
-    partition: WindowSpec             # first partition side (compat alias)
-    join_key: str                     # first side's key (compat alias)
-    outputs: Tuple[OutputColumn, ...]  # columns of the partition sides
-    distinct: bool
-    profile: QueryProfile
-    #: all partition sides (multi-way joins have several)
-    sides: Tuple[JoinSide, ...] = ()
-    #: for each output, the index into ``sides`` it reads from
-    output_sides: Tuple[int, ...] = ()
-    #: optimizer decision record; None when never optimized
-    opt: Optional["OptimizerInfo"] = None
-
-
-Plan = Union[WindowAggPlan, PassthroughPlan, JoinPlan]
-
 
 # ----- helpers ----------------------------------------------------------
 
@@ -303,6 +145,22 @@ _CAP_BY_COMPARE = {
 }
 
 
+def _scan(stream: str, schema: Schema, profile: QueryProfile) -> ScanNode:
+    """The naive scan: every schema column, WHERE still above it."""
+    return ScanNode(
+        stream=stream,
+        columns=tuple(f.name for f in schema),
+        infos=tuple(
+            ColumnInfo(name=f.name, kind=f.kind, size_c=f.size) for f in schema
+        ),
+        referenced=tuple(sorted(profile.referenced)),
+    )
+
+
+def _filtered(node: LogicalNode, where: Optional[PredicateNode]) -> LogicalNode:
+    return node if where is None else FilterNode(child=node, predicate=where)
+
+
 # ----- planner ------------------------------------------------------
 
 
@@ -317,11 +175,11 @@ class Planner:
 
     def plan(self, script: Script) -> Plan:
         catalog = dict(self.catalog)
-        derived_plans: Dict[str, PassthroughPlan] = {}
+        derived_plans: Dict[str, Plan] = {}
         for derived in script.derived:
-            plan = self._plan_passthrough_query(derived.query, catalog, derived.name)
+            plan, outputs = self._plan_passthrough_query(derived.query, catalog)
             derived_plans[derived.name] = plan
-            catalog[derived.name] = plan.output_schema
+            catalog[derived.name] = Schema([o.out_field for o in outputs])
         main = script.main
         if main.joins:
             return self._plan_explicit_join(main, catalog, derived_plans)
@@ -333,7 +191,7 @@ class Planner:
         if window.mode == MODE_UNBOUNDED:
             if script.derived:
                 raise PlanningError("derived streams must feed a windowed main query")
-            return self._plan_passthrough_query(main, catalog, None)
+            return self._plan_passthrough_query(main, catalog)[0]
         if window.mode not in (MODE_COUNT, MODE_TIME):
             raise PlanningError(
                 "single-source main query needs a count or time window"
@@ -354,7 +212,7 @@ class Planner:
 
     def _plan_window_agg(
         self, query: Query, catalog: Dict[str, Schema]
-    ) -> WindowAggPlan:
+    ) -> Plan:
         source, schema = self._resolve_source(query, catalog)
         if query.distinct:
             raise PlanningError("distinct is not supported with window aggregation")
@@ -396,19 +254,17 @@ class Planner:
         having = self._plan_having(query.having, schema, outputs, hidden, uses)
         order_by = self._plan_order_by(query, schema, outputs, hidden, uses)
         profile = QueryProfile(column_uses=uses)
-        return WindowAggPlan(
-            stream=source.stream,
-            schema=schema,
+        node: LogicalNode = WindowAggNode(
+            child=_filtered(_scan(source.stream, schema, profile), where),
             window=source.window,
-            outputs=tuple(outputs),
             group_keys=tuple(group_keys),
-            where=where,
-            profile=profile,
-            hidden_outputs=tuple(hidden),
+            outputs=tuple(outputs + hidden),
             having=having,
-            order_by=order_by,
-            limit=query.limit,
         )
+        node = ProjectNode(child=node, outputs=tuple(outputs))
+        if order_by or query.limit is not None:
+            node = OrderLimitNode(child=node, keys=order_by, limit=query.limit)
+        return Plan(root=node, schema=schema, profile=profile)
 
     def _plan_having(
         self,
@@ -474,14 +330,14 @@ class Planner:
         outputs: Sequence[OutputColumn],
         hidden: List[OutputColumn],
         uses: Dict[str, ColumnUse],
-    ) -> Tuple[OrderKey, ...]:
+    ) -> Tuple[Tuple[str, bool], ...]:
         if query.limit is not None and not query.order_by:
             raise PlanningError(
                 "limit requires an order by clause (unordered truncation "
                 "would be nondeterministic)"
             )
         by_name = {o.name for o in outputs}
-        keys: List[OrderKey] = []
+        keys: List[Tuple[str, bool]] = []
         for i, item in enumerate(query.order_by):
             expr = item.expr
             if (
@@ -499,7 +355,7 @@ class Planner:
                     "order by supports select-list names or aggregates; "
                     f"got {expr!s}"
                 )
-            keys.append(OrderKey(output=target, desc=item.desc))
+            keys.append((target, item.desc))
         return tuple(keys)
 
     def _agg_target(
@@ -575,8 +431,8 @@ class Planner:
         )
 
     def _plan_passthrough_query(
-        self, query: Query, catalog: Dict[str, Schema], derived_name: Optional[str]
-    ) -> PassthroughPlan:
+        self, query: Query, catalog: Dict[str, Schema]
+    ) -> Tuple[Plan, List[OutputColumn]]:
         source, schema = self._resolve_source(query, catalog)
         if source.window.mode != MODE_UNBOUNDED:
             raise PlanningError("passthrough queries use [range unbounded]")
@@ -640,14 +496,13 @@ class Planner:
                 )
             )
         where = self._plan_where(query.where, schema, uses)
-        return PassthroughPlan(
-            stream=source.stream,
-            schema=schema,
+        profile = QueryProfile(column_uses=uses)
+        root = ProjectNode(
+            child=_filtered(_scan(source.stream, schema, profile), where),
             outputs=tuple(outputs),
-            where=where,
             distinct=query.distinct,
-            profile=QueryProfile(column_uses=uses),
         )
+        return Plan(root=root, schema=schema, profile=profile), outputs
 
     def _plan_where(
         self,
@@ -682,8 +537,8 @@ class Planner:
         self,
         query: Query,
         catalog: Dict[str, Schema],
-        derived_plans: Dict[str, PassthroughPlan],
-    ) -> JoinPlan:
+        derived_plans: Dict[str, Plan],
+    ) -> Plan:
         first, second = query.sources
         if first.stream != second.stream:
             raise PlanningError("the join form requires two windows of one stream")
@@ -748,62 +603,28 @@ class Planner:
                 )
             )
 
-        if window_src.window.mode == MODE_TIME:
-            tc = window_src.window.time_column
-            f = _check_column(join_schema, ColumnRef(tc), "join time window")
-            if f.kind != KIND_INT:
-                raise PlanningError(
-                    f"time window column {tc!r} must be an integer field"
-                )
-        derived = derived_plans.get(first.stream)
-        if derived is not None:
-            physical_stream = derived.stream
-            physical_schema = derived.schema
-            profile = derived.profile
-        else:
-            physical_stream = first.stream
-            physical_schema = join_schema
-            # Without a derived projection the join runs on values of the
-            # referenced columns directly.
-            uses: Dict[str, ColumnUse] = {}
-            for out in outputs:
-                _merge_use(uses, ColumnUse(out.source_column, needs_values=True))
-            _merge_use(uses, ColumnUse(join_key, needs_values=True))
-            if window_src.window.mode == MODE_TIME:
-                _merge_use(
-                    uses,
-                    ColumnUse(window_src.window.time_column, needs_values=True),
-                )
-            profile = QueryProfile(column_uses=uses)
-        return JoinPlan(
-            stream=physical_stream,
-            schema=physical_schema,
-            derived=derived,
-            join_schema=join_schema,
-            window=window_src.window,
-            partition=partition_src.window,
-            join_key=join_key,
-            outputs=tuple(outputs),
-            distinct=query.distinct,
-            profile=profile,
-            sides=(
-                JoinSide(
-                    binding=partition_src.binding,
-                    window=partition_src.window,
-                    probe_column=join_key,
-                    key_column=join_key,
-                    outer=False,
-                ),
-            ),
-            output_sides=(0,) * len(outputs),
+        side = JoinSide(
+            binding=partition_src.binding,
+            window=partition_src.window,
+            probe_column=join_key,
+            key_column=join_key,
+        )
+        return self._join_tree(
+            query,
+            window_src,
+            join_schema,
+            (side,),
+            outputs,
+            (0,) * len(outputs),
+            derived_plans,
         )
 
     def _plan_explicit_join(
         self,
         query: Query,
         catalog: Dict[str, Schema],
-        derived_plans: Dict[str, PassthroughPlan],
-    ) -> JoinPlan:
+        derived_plans: Dict[str, Plan],
+    ) -> Plan:
         """Plan the explicit ``[LEFT] JOIN ... ON`` form (multi-way, outer).
 
         One count/time-windowed probe source joins one or more
@@ -903,6 +724,28 @@ class Planner:
             )
             output_sides.append(side_idx)
 
+        return self._join_tree(
+            query,
+            probe_src,
+            join_schema,
+            tuple(sides),
+            outputs,
+            tuple(output_sides),
+            derived_plans,
+        )
+
+    def _join_tree(
+        self,
+        query: Query,
+        probe_src: SourceRef,
+        join_schema: Schema,
+        sides: Tuple[JoinSide, ...],
+        outputs: List[OutputColumn],
+        output_sides: Tuple[int, ...],
+        derived_plans: Dict[str, Plan],
+    ) -> Plan:
+        """``(Scan | Derive) → Join → Project`` for both join forms."""
+        stream = probe_src.stream
         if probe_src.window.mode == MODE_TIME:
             tc = probe_src.window.time_column
             f = _check_column(join_schema, ColumnRef(tc), "join time window")
@@ -910,14 +753,18 @@ class Planner:
                 raise PlanningError(
                     f"time window column {tc!r} must be an integer field"
                 )
-        derived = derived_plans.get(probe_src.stream)
+        derived = derived_plans.get(stream)
+        child: LogicalNode
         if derived is not None:
-            physical_stream = derived.stream
-            physical_schema = derived.schema
-            profile = derived.profile
+            # every window source over the derived stream would recompute
+            # it per batch; the common-subplan rule shares it
+            consumers = sum(src.stream == stream for src in query.sources)
+            consumers += sum(c.source.stream == stream for c in query.joins)
+            child = DeriveNode(name=stream, child=derived.root, consumers=consumers)
+            schema, profile = derived.schema, derived.profile
         else:
-            physical_stream = probe_src.stream
-            physical_schema = join_schema
+            # Without a derived projection the join runs on values of the
+            # referenced columns directly.
             uses: Dict[str, ColumnUse] = {}
             for out in outputs:
                 _merge_use(uses, ColumnUse(out.source_column, needs_values=True))
@@ -930,20 +777,17 @@ class Planner:
                     ColumnUse(probe_src.window.time_column, needs_values=True),
                 )
             profile = QueryProfile(column_uses=uses)
-        return JoinPlan(
-            stream=physical_stream,
-            schema=physical_schema,
-            derived=derived,
-            join_schema=join_schema,
+            schema = join_schema
+            child = _scan(stream, schema, profile)
+        join = JoinNode(
+            child=child,
             window=probe_src.window,
-            partition=sides[0].window,
-            join_key=sides[0].key_column,
-            outputs=tuple(outputs),
-            distinct=query.distinct,
-            profile=profile,
-            sides=tuple(sides),
-            output_sides=tuple(output_sides),
+            sides=sides,
+            schema=join_schema,
+            output_sides=output_sides,
         )
+        root = ProjectNode(child=join, outputs=tuple(outputs), distinct=query.distinct)
+        return Plan(root=root, schema=schema, profile=profile)
 
     def _plan_join_side(
         self, clause: JoinClause, probe_src: SourceRef, join_schema: Schema
@@ -986,18 +830,6 @@ class Planner:
         )
 
 
-def plan_query(
-    text: str, catalog: Dict[str, Schema], optimize: bool = False
-) -> Plan:
-    """Parse and plan a streaming SQL script in one call.
-
-    ``optimize=True`` additionally runs the plan through the rule-based
-    optimizer (:mod:`repro.optimizer`) with catalogue defaults — no
-    codec hint, no statistics.  The engine threads richer context
-    through :func:`repro.optimizer.plan_for_engine` instead.
-    """
-    if optimize:
-        from ..optimizer import plan_for_engine  # deferred: module cycle
-
-        return plan_for_engine(catalog, text, optimize=True)
+def plan_query(text: str, catalog: Dict[str, Schema]) -> Plan:
+    """Parse and plan a streaming SQL script in one call (naive tree)."""
     return Planner(catalog).plan_text(text)

@@ -396,8 +396,7 @@ def _morph_batches(batches=3, n=128):
 
 
 def _morph_plan(optimize=True):
-    script = parse(MORPH_SQL)
-    plan = Planner({"S": MORPH_SCHEMA}).plan(script)
+    plan = Planner({"S": MORPH_SCHEMA}).plan(parse(MORPH_SQL))
     if not optimize:
         return plan
     merged = {
@@ -406,7 +405,7 @@ def _morph_plan(optimize=True):
     }
     stats = stats_from_columns(MORPH_SCHEMA, merged)
     infos = schema_infos(MORPH_SCHEMA, codec_hint="rle", stats=stats)
-    return optimize_plan(plan, infos, script=script).plan
+    return optimize_plan(plan, infos).plan
 
 
 def _compress_rle(batch):

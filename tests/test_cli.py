@@ -41,14 +41,14 @@ class TestCommands:
     def test_explain_q3(self, capsys):
         assert main(["explain", "--dataset", "linear_road", "--query", "q3"]) == 0
         out = capsys.readouterr().out
-        assert "JoinPlan" in out
+        assert "plan: join" in out
         assert "inner side L: by vehicle rows 1, probe vehicle == vehicle" in out
 
     def test_explain_custom_sql(self, capsys):
         sql = "select timestamp, avg(cpu) as c from TaskEvents [range 64 slide 64]"
         assert main(["explain", "--dataset", "cluster", "--sql", sql]) == 0
         out = capsys.readouterr().out
-        assert "WindowAggPlan" in out
+        assert "plan: window-agg" in out
         assert "cpu: affine" in out
 
     def test_explain_bad_sql_is_error(self, capsys):

@@ -1,11 +1,11 @@
-"""The rule-based optimizer: binder shapes, rules, chooser, execution.
+"""The rule-based optimizer: naive tree shapes, rules, chooser, execution.
 
-Covers the contract each layer owes the others: the binder emits the
+Covers the contract each layer owes the others: the planner emits the
 naive tree in SQL evaluation order; every rewrite rule fires on its
 target shape and refuses when the cost model prices the rewrite at no
 gain; the chooser falls back to the naive plan when rewriting did not
-help; and the lowered plans (cascade WHERE, fused aggregates) compute
-exactly what the naive plans compute.  End-to-end answer equality over
+help; and the rewritten trees (cascade WHERE, fused aggregates) compute
+exactly what the naive trees compute.  End-to-end answer equality over
 the full workload grammar is the differential oracle's optimized leg
 (``tests/test_oracle.py`` and the optimizer-smoke CI job); these tests
 pin the mechanisms.
@@ -34,7 +34,6 @@ from repro.optimizer import (
     ScanNode,
     SelectionReorder,
     WindowAggNode,
-    bind,
     optimize_plan,
     plan_digest,
     schema_infos,
@@ -42,9 +41,16 @@ from repro.optimizer import (
 )
 from repro.optimizer.binder import stats_from_columns
 from repro.optimizer.cost import run_length_of, selectivity, touch_weight
-from repro.optimizer.logical import iter_nodes
+from repro.optimizer.logical import (
+    OUT_COLUMN,
+    LiteralPredicate,
+    OutputColumn,
+    PredicateGroup,
+    iter_nodes,
+    where_of,
+)
 from repro.sql.parser import parse
-from repro.sql.planner import LiteralPredicate, Planner, PredicateGroup
+from repro.sql.planner import Planner
 from repro.stream.schema import Field, Schema
 from repro.stream.source import GeneratorSource
 
@@ -63,9 +69,14 @@ def plan_of(sql):
     return Planner(CATALOG).plan(parse(sql))
 
 
+def bound_root(plan, infos):
+    """The planner's naive tree with catalogue infos bound on its scan."""
+    return optimize_plan(plan, infos).baseline_root
+
+
 def naive_root(sql, codec_hint=""):
     plan = plan_of(sql)
-    return bind(plan, schema_infos(plan.schema, codec_hint=codec_hint))
+    return bound_root(plan, schema_infos(plan.schema, codec_hint=codec_hint))
 
 
 def node_types(root):
@@ -132,9 +143,7 @@ class TestBinder:
         from repro.datasets import QUERIES
 
         q3 = QUERIES["q3"]
-        script = parse(q3.text())
-        plan = Planner(q3.catalog).plan(script)
-        root = bind(plan, schema_infos(plan.schema), script=script)
+        root = Planner(q3.catalog).plan(parse(q3.text())).root
         derive = find(root, DeriveNode)
         assert derive.name == "SegSpeedStr"
         assert derive.consumers == 2
@@ -253,7 +262,7 @@ class TestRules:
             },
         )
         infos = schema_infos(plan.schema, stats=stats)
-        root = bind(plan, infos)
+        root = bound_root(plan, infos)
         ordered, firings = SelectionReorder().apply(
             root, CostContext(infos=infos)
         )
@@ -276,7 +285,7 @@ class TestRules:
             },
         )
         infos = schema_infos(plan.schema, stats=stats)
-        root = bind(plan, infos)
+        root = bound_root(plan, infos)
         same, firings = SelectionReorder().apply(
             root, CostContext(infos=infos)
         )
@@ -333,10 +342,9 @@ class TestRules:
         from repro.datasets import QUERIES
 
         q3 = QUERIES["q3"]
-        script = parse(q3.text())
-        plan = Planner(q3.catalog).plan(script)
+        plan = Planner(q3.catalog).plan(parse(q3.text()))
         infos = schema_infos(plan.schema)
-        root = bind(plan, infos, script=script)
+        root = bound_root(plan, infos)
         shared, firings = CommonSubplanSharing().apply(
             root, CostContext(infos=infos)
         )
@@ -345,13 +353,14 @@ class TestRules:
 
     def test_cse_refuses_single_consumer_derived_streams(self):
         scan = ScanNode(stream="S", columns=("value",), infos=())
+        value = (OutputColumn("value", OUT_COLUMN, source_column="value"),)
         root = ProjectNode(
             child=DeriveNode(
                 name="D",
-                child=ProjectNode(child=scan, outputs=("value",)),
+                child=ProjectNode(child=scan, outputs=value),
                 consumers=1,
             ),
-            outputs=("value",),
+            outputs=value,
         )
         same, firings = CommonSubplanSharing().apply(root, CostContext())
         assert same is root and firings == ()
@@ -467,7 +476,7 @@ class TestOptimizePlan:
         assert not result.info.fallback
         assert {"prune", "pushdown", "fusion"} <= set(result.info.rules_fired)
         assert result.info.estimated_cost < result.info.baseline_cost
-        assert result.plan.fuse_column == "value"
+        assert find(result.plan.root, WindowAggNode).fuse_column == "value"
         assert result.plan.opt is result.info
 
     def test_digest_is_stable_and_stats_blind(self):
@@ -482,6 +491,29 @@ class TestOptimizePlan:
         # the naive tree has a different shape, hence a different digest
         assert plan_digest(a.baseline_root) != a.info.plan_digest
 
+    def test_derived_stream_facts_come_from_the_planner(self):
+        # no script is threaded through: the planner records the derived
+        # stream's name and consumer count on the tree, so Q3 reaches its
+        # golden digest and a three-source join prices three recomputes
+        from repro.datasets import QUERIES, linear_road
+
+        q3 = QUERIES["q3"]
+        result = optimize_plan(Planner(q3.catalog).plan(parse(q3.text())))
+        assert result.info.plan_digest == "254dfcebb762cd17"
+        three_way = (
+            "( select timestamp, vehicle, speed, highway "
+            "from PosSpeedStr [range unbounded] ) as D "
+            "select L.vehicle, L.speed, M.speed as ms "
+            "from D [range 30 slide 30] as A "
+            "join D [partition by vehicle rows 1] as L on A.vehicle == L.vehicle "
+            "left outer join D [partition by highway rows 1] as M "
+            "on A.highway == M.highway"
+        )
+        plan = Planner({"PosSpeedStr": linear_road.SCHEMA}).plan_text(three_way)
+        derive = find(plan.root, DeriveNode)
+        assert (derive.name, derive.consumers) == ("D", 3)
+        assert optimize_plan(plan).info.baseline_cost == 471040.0
+
     def test_lowered_where_keeps_the_cascade_order(self):
         plan = plan_of(
             "select value from S [range unbounded] where value < 90 and kind == 2"
@@ -494,8 +526,8 @@ class TestOptimizePlan:
             },
         )
         result = optimize_plan(plan, schema_infos(plan.schema, stats=stats))
-        assert result.plan.where.ordered
-        assert result.plan.where.children[0].column == "kind"
+        assert where_of(result.plan.root).ordered
+        assert where_of(result.plan.root).children[0].column == "kind"
 
 
 # ----- lowered plans execute identically -------------------------------
@@ -534,13 +566,13 @@ class TestExecutionEquivalence:
 
     def test_fused_plan_actually_fuses(self):
         engine, _ = run_engine(FILTERED_AVG, optimize=True)
-        assert engine._base_plan.fuse_column == "value"
+        assert find(engine._base_plan.root, WindowAggNode).fuse_column == "value"
         assert "fusion" in engine._base_plan.opt.rules_fired
 
     def test_escape_hatch_keeps_the_naive_plan(self):
         engine, _ = run_engine(FILTERED_AVG, optimize=False)
         assert engine._base_plan.opt is None
-        assert engine._base_plan.fuse_column == ""
+        assert find(engine._base_plan.root, WindowAggNode).fuse_column == ""
 
     def test_server_report_surfaces_the_decision(self):
         from repro.core.server import Server

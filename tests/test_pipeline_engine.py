@@ -5,6 +5,7 @@ import pytest
 
 from repro import CompressStreamDB, EngineConfig, SystemParams
 from repro.errors import EngineError
+from repro.optimizer import ScanNode, find_node
 from repro.stream import ArraySource, Field, GeneratorSource, Schema
 
 SCHEMA = Schema(
@@ -48,7 +49,7 @@ class TestEngineModes:
 
     def test_schema_shorthand_catalog(self):
         e = CompressStreamDB(SCHEMA, QUERY, stream_name="S")
-        assert e.plan.stream == "S"
+        assert find_node(e.plan.root, ScanNode).stream == "S"
 
     def test_with_mode_copies(self, fast_calibration):
         e = engine(calibration=fast_calibration)

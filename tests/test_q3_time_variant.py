@@ -4,16 +4,18 @@ import numpy as np
 
 from repro import CompressStreamDB, EngineConfig
 from repro.datasets import Q3_TIME_TEXT, linear_road
-from repro.sql import JoinPlan, plan_query
+from repro.optimizer import JoinNode, find_node
+from repro.sql import plan_query, plan_shape
 from repro.stream import MODE_TIME
 
 
 def test_plans_as_time_join():
     plan = plan_query(Q3_TIME_TEXT, {"PosSpeedStr": linear_road.SCHEMA})
-    assert isinstance(plan, JoinPlan)
-    assert plan.window.mode == MODE_TIME
-    assert plan.window.size == 30
-    assert plan.window.time_column == "timestamp"
+    assert plan_shape(plan.root) == "join"
+    window = find_node(plan.root, JoinNode).window
+    assert window.mode == MODE_TIME
+    assert window.size == 30
+    assert window.time_column == "timestamp"
 
 
 def test_end_to_end_matches_baseline(fast_calibration):

@@ -1,4 +1,4 @@
-"""Unit tests for the planner: binding, requirements, plan shapes."""
+"""Unit tests for the planner: binding, requirements, tree shapes."""
 
 import pytest
 
@@ -6,7 +6,16 @@ from repro.compression.base import CAP_AFFINE, CAP_EQUALITY, CAP_ORDER
 from repro.compression import get_codec
 from repro.datasets import QUERIES, QUERY_TEXT
 from repro.errors import PlanningError
-from repro.sql import JoinPlan, PassthroughPlan, Planner, WindowAggPlan, plan_query
+from repro.optimizer import (
+    DeriveNode,
+    JoinNode,
+    ProjectNode,
+    ScanNode,
+    WindowAggNode,
+    find_node,
+    where_of,
+)
+from repro.sql import Planner, plan_query, plan_shape
 from repro.sql.planner import OUT_AGG, OUT_EXPR, OUT_KEY, OUT_LAST
 from repro.stream import Field, Schema
 
@@ -21,16 +30,22 @@ SCHEMA = Schema(
 CATALOG = {"S": SCHEMA}
 
 
+def node(plan, node_type):
+    found = find_node(plan.root, node_type)
+    assert found is not None, f"no {node_type.__name__} in the plan"
+    return found
+
+
 class TestWindowAggPlanning:
     def test_shapes_and_kinds(self):
         plan = plan_query(
             "select ts, k, avg(v) as m from S [range 8] group by k", CATALOG
         )
-        assert isinstance(plan, WindowAggPlan)
-        kinds = [o.kind for o in plan.outputs]
+        assert plan_shape(plan.root) == "window-agg"
+        kinds = [o.kind for o in node(plan, ProjectNode).outputs]
         assert kinds == [OUT_LAST, OUT_KEY, OUT_AGG]
-        assert plan.group_keys == ("k",)
-        assert plan.window.size == 8
+        assert node(plan, WindowAggNode).group_keys == ("k",)
+        assert node(plan, WindowAggNode).window.size == 8
 
     def test_capability_requirements(self):
         plan = plan_query(
@@ -45,7 +60,7 @@ class TestWindowAggPlanning:
 
     def test_float_literal_quantized(self):
         plan = plan_query("select avg(v) from S [range 8] where v >= 1.25", CATALOG)
-        assert plan.where.literal == 125
+        assert where_of(plan.root).literal == 125
 
     def test_unrepresentable_literal_rejected(self):
         with pytest.raises(PlanningError):
@@ -53,7 +68,7 @@ class TestWindowAggPlanning:
 
     def test_flipped_literal_predicate(self):
         plan = plan_query("select avg(v) from S [range 8] where 10 < pos", CATALOG)
-        pred = plan.where
+        pred = where_of(plan.root)
         assert (pred.column, pred.op, pred.literal) == ("pos", ">", 10)
 
     def test_or_predicate_tree(self):
@@ -63,7 +78,7 @@ class TestWindowAggPlanning:
             "select avg(v) from S [range 8] where k == 1 or k == 2 and pos > 5",
             CATALOG,
         )
-        tree = plan.where
+        tree = where_of(plan.root)
         assert isinstance(tree, PredicateGroup) and tree.op == "or"
         assert isinstance(tree.children[0], LiteralPredicate)
         assert isinstance(tree.children[1], PredicateGroup)
@@ -71,7 +86,7 @@ class TestWindowAggPlanning:
 
     def test_avg_output_field_is_float(self):
         plan = plan_query("select avg(v) as m from S [range 8]", CATALOG)
-        out = plan.outputs[0]
+        out = node(plan, ProjectNode).outputs[0]
         assert out.out_field.kind == "float"
         assert out.src_decimals == 2
 
@@ -101,8 +116,11 @@ class TestPassthroughPlanning:
         plan = plan_query(
             "select ts, (pos/100) as cell from S [range unbounded]", CATALOG
         )
-        assert isinstance(plan, PassthroughPlan)
-        assert [o.kind for o in plan.outputs] == ["column", OUT_EXPR]
+        assert plan_shape(plan.root) == "passthrough"
+        assert [o.kind for o in node(plan, ProjectNode).outputs] == [
+            "column",
+            OUT_EXPR,
+        ]
 
     def test_non_distinct_projection_needs_values(self):
         plan = plan_query("select ts from S [range unbounded]", CATALOG)
@@ -131,13 +149,15 @@ class TestJoinPlanning:
     def test_q3_shape(self):
         q3 = QUERIES["q3"]
         plan = plan_query(QUERY_TEXT["q3"], q3.catalog)
-        assert isinstance(plan, JoinPlan)
-        assert plan.join_key == "vehicle"
-        assert plan.window.size == 30
-        assert plan.partition.rows == 1
-        assert plan.derived is not None
-        assert plan.stream == "PosSpeedStr"  # physical stream
-        assert {o.name for o in plan.outputs} >= {"segment", "vehicle"}
+        assert plan_shape(plan.root) == "join"
+        join = node(plan, JoinNode)
+        assert join.sides[0].key_column == "vehicle"
+        assert join.window.size == 30
+        assert join.sides[0].window.rows == 1
+        assert find_node(plan.root, DeriveNode) is not None
+        assert node(plan, ScanNode).stream == "PosSpeedStr"  # physical stream
+        outputs = node(plan, ProjectNode).outputs
+        assert {o.name for o in outputs} >= {"segment", "vehicle"}
 
     def test_join_without_derived(self):
         plan = plan_query(
@@ -145,8 +165,8 @@ class TestJoinPlanning:
             "S [partition by k rows 1] as L where A.k == L.k",
             CATALOG,
         )
-        assert isinstance(plan, JoinPlan)
-        assert plan.derived is None
+        assert plan_shape(plan.root) == "join"
+        assert find_node(plan.root, DeriveNode) is None
         assert plan.profile.column_uses["k"].needs_values
 
     @pytest.mark.parametrize(

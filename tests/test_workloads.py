@@ -7,8 +7,9 @@ import pytest
 
 from repro.cli import main
 from repro.errors import WorkloadError
-from repro.sql.executor import QueryResult
-from repro.sql.planner import JoinPlan, Planner, WindowAggPlan
+from repro.optimizer import JoinNode, OrderLimitNode, find_node
+from repro.sql.executor import QueryResult, plan_shape
+from repro.sql.planner import Planner
 from repro.workloads import (
     QUERIES,
     TRACES,
@@ -84,20 +85,23 @@ class TestCorpus:
     def test_multiway_is_three_sources(self):
         entry = get_entry("flip_multiway")
         plan = Planner(entry.catalog).plan_text(entry.sql)
-        assert isinstance(plan, JoinPlan)
-        assert len(plan.sides) == 2  # probe + two partition sides
+        assert plan_shape(plan.root) == "join"
+        # probe + two partition sides
+        assert len(find_node(plan.root, JoinNode).sides) == 2
 
     def test_outer_side_planned(self):
         entry = get_entry("flip_outer")
         plan = Planner(entry.catalog).plan_text(entry.sql)
-        assert isinstance(plan, JoinPlan)
-        assert [side.outer for side in plan.sides] == [False, True]
+        assert plan_shape(plan.root) == "join"
+        sides = find_node(plan.root, JoinNode).sides
+        assert [side.outer for side in sides] == [False, True]
 
     def test_order_limit_planned(self):
         entry = get_entry("sg_top_plugs")
         plan = Planner(entry.catalog).plan_text(entry.sql)
-        assert isinstance(plan, WindowAggPlan)
-        assert plan.limit == 3 and len(plan.order_by) == 2
+        assert plan_shape(plan.root) == "window-agg"
+        order = find_node(plan.root, OrderLimitNode)
+        assert order.limit == 3 and len(order.keys) == 2
 
     def test_select_filters_compose(self):
         quick_sg = select_entries(trace="smart_grid_spikes", quick=True)
