@@ -10,8 +10,9 @@ enforces them mechanically: a rule-driven analyzer over Python ``ast``
 (one :class:`Rule` subclass per contract, ids ``CSD001``..), run as
 ``python -m repro lint`` and gated in CI.
 
-Syntactic rules (CSD001–CSD008) walk one file at a time; flow-sensitive
-rules (CSD009–CSD012) run over a project-wide call graph linked from
+Per-file checks walk one file at a time; flow-sensitive checks (decode
+discipline CSD001, exception taxonomy CSD004, virtual time CSD005,
+checkpoint purity CSD012) run over a project-wide call graph linked from
 digest-cached per-file summaries (:mod:`.summaries` →
 :mod:`.callgraph`) with a small forward taint engine on top
 (:mod:`.dataflow`).  ``python -m repro lint --graph dot|json`` exports

@@ -4,14 +4,14 @@ The engine is deliberately small: a taint *configuration* is three sets —
 entry nodes (sources), a sink predicate over function nodes, and
 sanitizer nodes that cut propagation — and a *flow* is a witness path
 from an entry to a node carrying a sink fact, discovered by BFS over the
-call graph with parent pointers.  Every flow-sensitive rule (CSD009–
-CSD012) is one or two configurations over the same graph, which keeps
-the rules declarative and the traversal logic in one place.
+call graph with parent pointers.  Every flow-sensitive rule (CSD001,
+CSD004, CSD005, CSD012) is one configuration over the same graph, which
+keeps the rules declarative and the traversal logic in one place.
 
 Two engines live here:
 
 * :func:`find_flows` — function-level taint for call-reachability rules
-  (decode discipline, wall-clock escape, exception taxonomy).
+  (decode discipline, virtual time, exception taxonomy).
 * :func:`attribute_closure` — type-level reachability over the class
   attribute graph for the checkpoint-purity rule, walking annotated and
   inferred attribute types from a root class and reporting

@@ -9,15 +9,12 @@ from .base import GraphRule, Rule
 from .bench_registration import BenchRegistrationRule
 from .checkpoint_purity import CheckpointPurityRule
 from .decode_discipline import DecodeDisciplineRule
-from .decode_taint import DecodeTaintRule
 from .determinism import DeterminismRule
-from .exception_flow import ExceptionFlowRule
 from .exception_taxonomy import ExceptionTaxonomyRule
 from .optimizer_purity import OptimizerPurityRule
 from .scalar_parity import ScalarParityRule
 from .supervision import SupervisionRule
 from .virtual_time import VirtualTimeRule
-from .wall_clock_escape import WallClockEscapeRule
 
 #: every registered rule, in id order
 ALL_RULES: List[Type[Rule]] = [
@@ -29,9 +26,6 @@ ALL_RULES: List[Type[Rule]] = [
     BenchRegistrationRule,
     SupervisionRule,
     OptimizerPurityRule,
-    DecodeTaintRule,
-    WallClockEscapeRule,
-    ExceptionFlowRule,
     CheckpointPurityRule,
 ]
 

@@ -9,7 +9,17 @@ cross-file contracts such as scalar parity).  Rules emit findings via
 from __future__ import annotations
 
 import ast
-from typing import ClassVar, Dict, Iterable, Iterator, Optional, Set, Union
+from typing import (
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..findings import Finding
 from ..project import Project, SourceFile
@@ -25,7 +35,8 @@ class Rule:
     #: one-paragraph rationale shown by ``lint --list-rules``
     rationale: ClassVar[str] = ""
     #: flow-sensitive rules set this; the engine links the call graph
-    #: once (``project.graph``) before any such rule runs
+    #: once (``project.graph``, with ``project.edge_taints`` for witness
+    #: edges) before any such rule runs
     needs_graph: ClassVar[bool] = False
 
     def applies(self, sf: SourceFile) -> bool:
@@ -53,36 +64,27 @@ class Rule:
             waiver=self.waiver_tag,
         )
 
+    def flag_at(
+        self, project: Project, relpath: str, line: int, message: str
+    ) -> Finding:
+        """A finding at a file/line of the project (graph rules)."""
+        sf = project.file(relpath)
+        assert sf is not None, relpath
+        return self.flag(sf, line, message)
+
 
 class GraphRule(Rule):
-    """A flow-sensitive rule over the linked call graph.
+    """A rule proven over the linked call graph alone.
 
-    Graph rules run whole-project in :meth:`finish` (per-file visiting
-    is meaningless for interprocedural properties); the engine
-    guarantees ``project.graph`` is a linked
-    :class:`~repro.analysis.callgraph.CallGraph` and
-    ``project.edge_taints`` an edge-tag accumulator before ``finish``
-    is called.
+    Graph rules skip per-file visiting and run whole-project in
+    :meth:`finish`.  Rules with a per-file part *and* a call-graph part
+    subclass :class:`Rule` directly and set ``needs_graph``.
     """
 
     needs_graph: ClassVar[bool] = True
 
     def applies(self, sf: SourceFile) -> bool:
         return False
-
-    def flag_at(
-        self, project: Project, relpath: str, line: int, message: str
-    ) -> Finding:
-        """A finding anchored at a project file/line (with snippet)."""
-        sf = project.file(relpath)
-        return Finding(
-            rule=self.rule_id,
-            path=relpath,
-            line=line,
-            message=message,
-            snippet=sf.snippet(line) if sf is not None else "",
-            waiver=self.waiver_tag,
-        )
 
 
 # ----- shared AST helpers ----------------------------------------------
@@ -122,6 +124,26 @@ def import_aliases(tree: ast.Module) -> Dict[str, str]:
                 local = alias.asname or alias.name
                 aliases[local] = f"{module}.{alias.name}" if module else alias.name
     return aliases
+
+
+def forbidden_imports(
+    tree: ast.Module, modules: FrozenSet[str]
+) -> Iterator[Tuple[ast.stmt, str]]:
+    """``(node, module)`` for every absolute import of a banned module.
+
+    A module is banned when its top-level package is in ``modules``, so
+    ``import time``, ``from datetime import datetime`` and ``import
+    os.path`` (for ``os``) all match; ``import a, b`` yields per alias.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in modules:
+                    yield node, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            module = node.module or ""
+            if module.split(".")[0] in modules:
+                yield node, module
 
 
 def canonical_call_path(

@@ -1,4 +1,4 @@
-"""CSD001: direct paths must not decode outside the DecodeCache.
+"""CSD001: the direct path decodes only through the DecodeCache.
 
 The paper's central claim is that operators execute *on compressed
 data*; any stray ``decode()``/``decompress()`` on a hot path silently
@@ -7,74 +7,98 @@ avoid.  The only sanctioned full-column decode is
 ``DecodeCache.decompress`` (content-addressed, accounted as decompress
 time); anything else needs a ``# lint: force-decode`` waiver stating
 why the decode is bounded (e.g. one value per window).
+
+The rule is one taint query over the linked call graph: every function
+in the direct-path files is an entry, and a decode site on a non-cache
+receiver is a sink wherever it is reached — in the operator itself or
+in a helper any number of hops away.  Propagation stops at the layers
+whose job is decoding (``DecodeCache`` and the codec package), and
+findings in helpers carry the witness call chain from the entry.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, Tuple
+from typing import Iterable, Iterator, Tuple
 
+from ..callgraph import CallGraph, FunctionNode
+from ..dataflow import find_flows, mark_flow_edges
 from ..findings import Finding
-from ..project import Project, SourceFile
-from .base import Rule
+from ..project import Project
+from .base import GraphRule
 
 #: method names that materialize values from compressed representations
 DECODE_METHODS = frozenset(
-    {"decode", "decompress", "decode_codes", "force_decompress"}
+    {"decode", "decompress", "decode_codes", "decode_all", "force_decompress"}
 )
 
 #: receiver names through which a full decode is sanctioned
 CACHE_RECEIVERS = frozenset({"cache", "decode_cache"})
 
-#: files on the direct-on-compressed execution path
+#: files on the direct-on-compressed execution path (the entries)
 DIRECT_PATHS: Tuple[str, ...] = (
     "src/repro/operators/",
     "src/repro/core/server.py",
 )
 
+#: paths where decoding is the sanctioned job: propagation stops here,
+#: and decode sites inside them are not sinks
+SANCTIONED_PATHS: Tuple[str, ...] = (
+    "src/repro/compression/",
+    "src/repro/core/decode_cache.py",
+)
 
-class DecodeDisciplineRule(Rule):
+
+def _decode_sites(node: FunctionNode) -> Iterator[Tuple[str, int]]:
+    """Materialization call sites of one function summary."""
+    if node.relpath.startswith(SANCTIONED_PATHS):
+        return
+    direct = node.relpath.startswith(DIRECT_PATHS)
+    for site in node.summary.get("sites", []):
+        line = site.get("line", node.line)
+        if site.get("strcodec") and not direct:
+            continue  # bytes.decode("utf-8"): a text codec, not a column
+        if site["kind"] == "attr":
+            parts = site["path"].split(".")
+            if parts[-1] not in DECODE_METHODS:
+                continue
+            if len(parts) >= 2 and parts[-2] in CACHE_RECEIVERS:
+                continue
+            yield site["path"], line
+        elif site["kind"] == "method":
+            if site["method"] in DECODE_METHODS:
+                yield site["method"], line
+
+
+class DecodeDisciplineRule(GraphRule):
     rule_id = "CSD001"
     title = "decode-discipline"
     waiver_tag = "force-decode"
     rationale = (
         "Direct-on-compressed operators and the server hot loop may only "
-        "materialize values through DecodeCache.decompress; every other "
-        "decode()/decompress()/decode_codes() call site must carry a "
-        "'# lint: force-decode' waiver explaining why the decode is "
-        "bounded and intentional."
+        "materialize values through DecodeCache.decompress.  Every "
+        "decode()/decompress()/decode_codes()/decode_all() call they "
+        "reach — inline or through any number of helper hops, unless the "
+        "path passes through DecodeCache or the codec package — must "
+        "carry a '# lint: force-decode' waiver explaining why the decode "
+        "is bounded and intentional."
     )
 
-    def applies(self, sf: SourceFile) -> bool:
-        return any(
-            sf.relpath == p or sf.relpath.startswith(p) for p in DIRECT_PATHS
-        )
-
-    def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
-        if sf.tree is None:
+    def finish(self, project: Project) -> Iterable[Finding]:
+        graph = project.graph
+        if not isinstance(graph, CallGraph):
             return
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            if func.attr not in DECODE_METHODS:
-                continue
-            if self._via_cache(func.value):
-                continue
-            yield self.flag(
-                sf,
-                node,
-                f"direct path calls {func.attr}() outside DecodeCache; "
-                "route through the cache or waive with "
+        entries = [n.qualname for n in graph.functions_in(DIRECT_PATHS)]
+        sanitizers = {n.qualname for n in graph.functions_in(SANCTIONED_PATHS)}
+        for flow in find_flows(graph, entries, _decode_sites, sanitizers):
+            mark_flow_edges(project.edge_taints, flow, self.title)
+            node = graph.function(flow.node)
+            assert node is not None
+            yield self.flag_at(
+                project,
+                node.relpath,
+                flow.line,
+                f"{flow.detail}() materializes compressed data on the "
+                f"direct path: {flow.render_path()}; route through "
+                "DecodeCache or waive at this site with "
                 "'# lint: force-decode <why bounded>'",
             )
-
-    @staticmethod
-    def _via_cache(receiver: ast.AST) -> bool:
-        if isinstance(receiver, ast.Name):
-            return receiver.id in CACHE_RECEIVERS
-        if isinstance(receiver, ast.Attribute):
-            return receiver.attr in CACHE_RECEIVERS
-        return False

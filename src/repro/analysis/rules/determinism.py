@@ -18,7 +18,7 @@ from typing import Dict, Iterable
 
 from ..findings import Finding
 from ..project import Project, SourceFile
-from .base import Rule, canonical_call_path, import_aliases
+from .base import Rule, canonical_call_path, forbidden_imports, import_aliases
 
 #: call targets that leak wall-clock time into computation
 WALL_CLOCK_CALLS = frozenset(
@@ -67,16 +67,15 @@ class DeterminismRule(Rule):
     def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
         if sf.tree is None:
             return
+        for node, _ in forbidden_imports(sf.tree, frozenset({"random"})):
+            yield self.flag(
+                sf,
+                node,
+                "stdlib random is unseeded global state; use a seeded "
+                "np.random.Generator",
+            )
         aliases = import_aliases(sf.tree)
         for node in ast.walk(sf.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "random":
-                yield self.flag(
-                    sf,
-                    node,
-                    "stdlib random is unseeded global state; use a seeded "
-                    "np.random.Generator",
-                )
-                continue
             if not isinstance(node, ast.Call):
                 continue
             path = canonical_call_path(node.func, aliases)
@@ -88,13 +87,6 @@ class DeterminismRule(Rule):
                     node,
                     f"{path}() reads the wall clock; results must be "
                     "reproducible from seeds and virtual time",
-                )
-            elif path.startswith("random."):
-                yield self.flag(
-                    sf,
-                    node,
-                    f"{path}() uses the unseeded stdlib RNG; use a seeded "
-                    "np.random.Generator",
                 )
             elif path == "numpy.random.default_rng":
                 if not node.args and not node.keywords:

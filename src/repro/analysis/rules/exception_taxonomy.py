@@ -5,23 +5,32 @@ recovery transport NACKs on :class:`WireFormatError`, the adaptive
 selector skips codecs on :class:`CodecError`, and the differential
 oracle treats anything else as an engine bug.  A stray ``ValueError``
 in the wire layer or a swallowed ``except Exception`` therefore breaks
-fault recovery and fuzzing in ways no test pinpoints.  This rule checks
-that ``repro.wire`` raises only :class:`WireFormatError` (and
-subclasses), ``repro.compression`` only :class:`CodecError` subclasses,
-and that nothing anywhere uses a bare ``except:`` or an
-``except Exception:`` whose body is only ``pass``/``continue``.
+fault recovery and fuzzing in ways no test pinpoints.  Two checks:
+
+* raises, proven over the call graph from every ``repro.wire`` and
+  ``repro.compression`` function.  A raise inside those packages must
+  derive from the package's own root (:class:`WireFormatError`,
+  :class:`CodecError`).  A raise in any other module they reach — a
+  helper raising on a wire function's behalf — must resolve to the
+  engine's typed :class:`ReproError` tree (the serializer drives the
+  whole selector/cost-model stack, whose own typed errors are correct)
+  or be a control-flow raise (``StopIteration``, ``NotImplementedError``
+  on ABC stubs …).  Class hierarchies are resolved project-wide;
+  findings in helpers carry the witness call chain;
+* handlers, per file everywhere: no bare ``except:`` and no
+  ``except Exception:`` whose body is only ``pass``/``continue``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ..callgraph import CallGraph, FunctionNode
+from ..dataflow import find_flows, mark_flow_edges
 from ..findings import Finding
 from ..project import Project, SourceFile
 from .base import Rule, dotted_name
-
-ERRORS_PATH = "src/repro/errors.py"
 
 #: package prefix -> root exception classes its raises must derive from
 PACKAGE_TAXONOMY: Dict[str, Tuple[str, ...]] = {
@@ -29,109 +38,49 @@ PACKAGE_TAXONOMY: Dict[str, Tuple[str, ...]] = {
     "src/repro/compression/": ("CodecError",),
 }
 
+#: the engine-wide typed taxonomy root for raises outside the packages
+ENGINE_TAXONOMY_ROOT = "ReproError"
+
+#: raises that are control flow or programming-error signals, not
+#: subsystem errors the transport/selector branch on
+CONTROL_FLOW_RAISES = frozenset(
+    {
+        "StopIteration",
+        "StopAsyncIteration",
+        "NotImplementedError",
+        "AssertionError",
+        "KeyboardInterrupt",
+        "SystemExit",
+        "TypeError",
+    }
+)
+
 _SWALLOW_BODIES = (ast.Pass, ast.Continue)
 _BROAD_HANDLERS = frozenset({"Exception", "BaseException"})
 
 
-def _class_parents(tree: ast.Module) -> Dict[str, List[str]]:
-    parents: Dict[str, List[str]] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            names = []
-            for base in node.bases:
-                path = dotted_name(base)
-                if path is not None:
-                    names.append(path.split(".")[-1])
-            parents[node.name] = names
-    return parents
-
-
-def _descendants(roots: Tuple[str, ...], parents: Dict[str, List[str]]) -> Set[str]:
-    allowed = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for cls, bases in parents.items():
-            if cls not in allowed and any(b in allowed for b in bases):
-                allowed.add(cls)
-                changed = True
-    return allowed
+def _package(relpath: str) -> Optional[str]:
+    """The taxonomy package prefix ``relpath`` lies in, if any."""
+    return next((p for p in PACKAGE_TAXONOMY if relpath.startswith(p)), None)
 
 
 class ExceptionTaxonomyRule(Rule):
     rule_id = "CSD004"
     title = "exception-taxonomy"
     waiver_tag = "broad-except"
+    needs_graph = True
     rationale = (
         "The recovery transport, adaptive selector and differential "
         "oracle all branch on exception type; raising outside a "
-        "subsystem's taxonomy or silently swallowing Exception corrupts "
+        "subsystem's taxonomy — in the wire/codec packages or in any "
+        "helper they reach — or silently swallowing Exception corrupts "
         "those decisions without failing any test."
     )
 
     def visit(self, sf: SourceFile, project: Project) -> Iterable[Finding]:
         if sf.tree is None:
             return
-        yield from self._check_raises(sf, project)
-        yield from self._check_handlers(sf)
-
-    # ----- per-package raise taxonomy ----------------------------------
-
-    def _check_raises(
-        self, sf: SourceFile, project: Project
-    ) -> Iterable[Finding]:
-        roots: Optional[Tuple[str, ...]] = None
-        for prefix, allowed_roots in PACKAGE_TAXONOMY.items():
-            if sf.relpath.startswith(prefix):
-                roots = allowed_roots
-                break
-        if roots is None:
-            return
-        allowed = self._allowed_names(project, sf, roots)
-        for node in ast.walk(sf.tree or ast.Module(body=[], type_ignores=[])):
-            if not isinstance(node, ast.Raise) or node.exc is None:
-                continue
-            name = self._raised_name(node.exc)
-            if name is None or name in allowed:
-                continue
-            yield self.flag(
-                sf,
-                node,
-                f"{sf.relpath.split('/')[2]} package raises {name}; its "
-                f"taxonomy allows only {' / '.join(sorted(roots))} "
-                "subclasses so callers can branch on subsystem",
-            )
-
-    def _allowed_names(
-        self, project: Project, sf: SourceFile, roots: Tuple[str, ...]
-    ) -> Set[str]:
-        parents: Dict[str, List[str]] = {}
-        errors = project.file(ERRORS_PATH)
-        if errors is not None and errors.tree is not None:
-            parents.update(_class_parents(errors.tree))
-        package = sf.relpath.rsplit("/", 1)[0] + "/"
-        for other in project.files:
-            if other.relpath.startswith(package) and other.tree is not None:
-                parents.update(_class_parents(other.tree))
-        return _descendants(roots, parents)
-
-    @staticmethod
-    def _raised_name(exc: ast.AST) -> Optional[str]:
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        path = dotted_name(exc)
-        if path is None:
-            return None
-        name = path.split(".")[-1]
-        # re-raising a caught variable ('raise exc') is not a new type
-        if not name[:1].isupper():
-            return None
-        return name
-
-    # ----- broad / silent handlers -------------------------------------
-
-    def _check_handlers(self, sf: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(sf.tree or ast.Module(body=[], type_ignores=[])):
+        for node in ast.walk(sf.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -163,3 +112,50 @@ class ExceptionTaxonomyRule(Rule):
                 continue  # docstring / ellipsis
             return False
         return True
+
+    def finish(self, project: Project) -> Iterable[Finding]:
+        graph = project.graph
+        if not isinstance(graph, CallGraph):
+            return
+        package_allowed = {
+            prefix: graph.class_descendants(roots)
+            for prefix, roots in PACKAGE_TAXONOMY.items()
+        }
+        package_roots = tuple(
+            sorted({root for roots in PACKAGE_TAXONOMY.values() for root in roots})
+        )
+        engine_allowed = (
+            graph.class_descendants(package_roots + (ENGINE_TAXONOMY_ROOT,))
+            | CONTROL_FLOW_RAISES
+        )
+
+        def raise_facts(node: FunctionNode) -> Iterator[Tuple[str, int]]:
+            package = _package(node.relpath)
+            allowed = engine_allowed if package is None else package_allowed[package]
+            for raised in node.summary.get("raises", []):
+                if raised["name"] not in allowed:
+                    yield raised["name"], raised["line"]
+
+        entries = [n.qualname for n in graph.functions_in(tuple(PACKAGE_TAXONOMY))]
+        for flow in find_flows(graph, entries, raise_facts):
+            mark_flow_edges(project.edge_taints, flow, self.title)
+            node = graph.function(flow.node)
+            assert node is not None
+            package = _package(node.relpath)
+            if package is not None:
+                message = (
+                    f"{package.split('/')[2]} package raises {flow.detail}; "
+                    f"its taxonomy allows only "
+                    f"{' / '.join(PACKAGE_TAXONOMY[package])} subclasses so "
+                    "callers can branch on subsystem"
+                )
+            else:
+                message = (
+                    f"raise {flow.detail} is reachable from a wire/codec "
+                    f"path: {flow.render_path()}; raise a typed "
+                    f"{ENGINE_TAXONOMY_ROOT}-taxonomy subclass "
+                    f"({'/'.join(package_roots)} for wire/codec code) so the "
+                    "transport and selector can branch on subsystem, or "
+                    "waive with '# lint: broad-except <why>'"
+                )
+            yield self.flag_at(project, node.relpath, flow.line, message)

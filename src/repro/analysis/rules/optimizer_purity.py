@@ -9,8 +9,8 @@ checkable consequences, enforced over ``src/repro/optimizer/``:
   plan choices must be reproducible from (query, stats) alone, or EXPLAIN
   goldens and the differential oracle's optimized leg stop being
   deterministic;
-* no decompression during planning (``decompress``/``decode``/
-  ``decode_codes``/``decode_all`` calls): rules price compressed
+* no decompression during planning (calls to any of CSD001's
+  ``DECODE_METHODS``): rules price compressed
   representations through :mod:`repro.optimizer.cost`; touching payloads
   at plan time would smuggle data-dependent work into what must be a
   metadata-only phase;
@@ -27,15 +27,12 @@ from typing import Iterable, List, Set
 
 from ..findings import Finding
 from ..project import Project, SourceFile
-from .base import Rule
+from .base import Rule, forbidden_imports
+from .decode_discipline import DECODE_METHODS
 
 OPTIMIZER_PREFIX = "src/repro/optimizer/"
 
 FORBIDDEN_MODULES = frozenset({"time", "datetime", "random"})
-
-DECODE_CALLS = frozenset(
-    {"decompress", "decode", "decode_codes", "decode_all"}
-)
 
 RULE_BASE = "RewriteRule"
 RULES_TABLE = "RULES"
@@ -75,28 +72,13 @@ class OptimizerPurityRule(Rule):
     # ----- wall clock / entropy ----------------------------------------
 
     def _check_imports(self, sf: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(sf.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    root = alias.name.split(".")[0]
-                    if root in FORBIDDEN_MODULES:
-                        yield self.flag(
-                            sf,
-                            node,
-                            f"optimizer imports {alias.name!r}; plan "
-                            "rewrites must be reproducible from the query "
-                            "and statistics alone",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                root = (node.module or "").split(".")[0]
-                if root in FORBIDDEN_MODULES:
-                    yield self.flag(
-                        sf,
-                        node,
-                        f"optimizer imports from {node.module!r}; plan "
-                        "rewrites must be reproducible from the query "
-                        "and statistics alone",
-                    )
+        for node, module in forbidden_imports(sf.tree, FORBIDDEN_MODULES):
+            yield self.flag(
+                sf,
+                node,
+                f"optimizer imports {module!r}; plan rewrites must be "
+                "reproducible from the query and statistics alone",
+            )
 
     # ----- no decompression at plan time -------------------------------
 
@@ -105,7 +87,7 @@ class OptimizerPurityRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in DECODE_CALLS:
+            if isinstance(func, ast.Attribute) and func.attr in DECODE_METHODS:
                 yield self.flag(
                     sf,
                     node,

@@ -8,12 +8,8 @@ checkpoint around it and account for it in the tenant's health.  This
 rule forbids except-handlers that catch any engine/transport exception
 (or ``Exception``/bare) under ``src/repro/serve/`` unless the handler
 carries a ``# lint: supervised`` waiver — which in practice only the
-supervisor's recovery point does.
-
-The rule also bans importing ``time``/``datetime``: the serving layer
-schedules restart backoff, breaker cooldowns and admission refill in
-*virtual* time (:class:`~repro.serve.clock.VirtualClock`), and a single
-wall-clock read would make kill-and-recover replays nondeterministic.
+supervisor's recovery point does.  Virtual time in the serving layer is
+CSD005's contract.
 """
 
 from __future__ import annotations
@@ -44,8 +40,6 @@ ENGINE_EXCEPTIONS = frozenset(
     }
 )
 
-FORBIDDEN_MODULES = frozenset({"time", "datetime"})
-
 
 def _handler_names(handler: ast.ExceptHandler) -> Iterable[Optional[str]]:
     """Leaf class names caught by a handler (None for unresolvable)."""
@@ -66,9 +60,7 @@ class SupervisionRule(Rule):
         "Tenant crash containment relies on engine exceptions reaching "
         "the supervisor's single recovery point; a handler elsewhere in "
         "repro.serve would swallow poison batches before they can be "
-        "disarmed and checkpointed around, and wall-clock sleeps would "
-        "make restart backoff and kill-and-recover replays "
-        "irreproducible."
+        "disarmed and checkpointed around."
     )
 
     def applies(self, sf: SourceFile) -> bool:
@@ -80,25 +72,6 @@ class SupervisionRule(Rule):
         for node in ast.walk(sf.tree):
             if isinstance(node, ast.ExceptHandler):
                 yield from self._check_handler(sf, node)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] in FORBIDDEN_MODULES:
-                        yield self.flag(
-                            sf,
-                            node,
-                            f"repro.serve imports wall-clock module "
-                            f"{alias.name!r}; backoff and cooldowns run "
-                            "on the virtual clock",
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                if (node.module or "").split(".")[0] in FORBIDDEN_MODULES:
-                    yield self.flag(
-                        sf,
-                        node,
-                        f"repro.serve imports from wall-clock module "
-                        f"{node.module!r}; backoff and cooldowns run "
-                        "on the virtual clock",
-                    )
 
     def _check_handler(
         self, sf: SourceFile, node: ast.ExceptHandler

@@ -37,13 +37,13 @@ Commands
              paths and check every result against the committed golden
              fixtures; ``--bless`` re-records fixtures from the baseline
              reference path; non-zero exit below a 100% pass rate;
-``lint``     run the AST-based invariant analyzer (syntactic rules
-             CSD001-CSD008: decode discipline, scalar parity,
+``lint``     run the AST-based invariant analyzer (rules CSD001-CSD008
+             and CSD012: decode discipline, scalar parity,
              determinism, exception taxonomy, virtual time, bench
-             registration, supervised recovery, optimizer purity; and
-             flow-sensitive rules CSD009-CSD012 over the linked call
-             graph: decode taint, wall-clock escape, taxonomy flow,
-             checkpoint purity) over the repo; ``--graph dot|json``
+             registration, supervised recovery, optimizer purity,
+             checkpoint purity; decode discipline, exception taxonomy
+             and virtual time follow the linked call graph across
+             helper hops) over the repo; ``--graph dot|json``
              exports the call graph with per-edge taint annotations;
              exit 0 clean / 1 findings / 2 usage — the CI gate for the
              engine's internal contracts (see docs/static-analysis.md);

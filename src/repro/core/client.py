@@ -66,16 +66,16 @@ class Client:
         demote_after: int = 3,
     ):
         if redecide_every <= 0:
-            # lint: taxonomy-flow constructor precondition, programmer error not wire data
+            # lint: broad-except constructor precondition, programmer error not wire data
             raise ValueError("redecide_every must be positive")
         if lookahead <= 0:
-            # lint: taxonomy-flow constructor precondition, programmer error not wire data
+            # lint: broad-except constructor precondition, programmer error not wire data
             raise ValueError("lookahead must be positive")
         if hybrid_threshold < 0:
-            # lint: taxonomy-flow constructor precondition, programmer error not wire data
+            # lint: broad-except constructor precondition, programmer error not wire data
             raise ValueError("hybrid_threshold cannot be negative")
         if demote_after <= 0:
-            # lint: taxonomy-flow constructor precondition, programmer error not wire data
+            # lint: broad-except constructor precondition, programmer error not wire data
             raise ValueError("demote_after must be positive")
         self.schema = schema
         self.selector = selector

@@ -78,7 +78,7 @@ class ExecColumn:
                 self._codes = np.repeat(self._runs[0], self._runs[1])
             else:
                 assert self._planes is not None
-                self._codes = self._planes.decode_all()
+                self._codes = self._planes.decode_all()  # lint: force-decode (lazy: only for operators without a plane path)
         return self._codes
 
     @property

@@ -1,10 +1,14 @@
-"""Shared fixtures: fast fake calibration, schemas, representative columns."""
+"""Shared fixtures: fast fake calibration, schemas, representative columns,
+and one whole-repository analyzer run."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis import AnalysisReport, run_analysis
 from repro.compression.registry import all_codec_names
 from repro.core.calibration import CalibrationTable, CodecTiming
 from repro.stream.schema import Field, Schema
@@ -64,6 +68,16 @@ def fast_calibration() -> CalibrationTable:
         for name in all_codec_names()
     }
     return CalibrationTable(timings=timings)
+
+
+@pytest.fixture(scope="session")
+def repo_report() -> AnalysisReport:
+    """Every lint rule over this checkout, with the linked call graph.
+
+    Whole-repository analysis takes seconds, so the repository-level
+    analyzer and call-graph tests share one run.
+    """
+    return run_analysis(Path(__file__).resolve().parents[1], build_graph=True)
 
 
 @pytest.fixture

@@ -11,13 +11,8 @@ coverage floor (the ``--graph`` acceptance bar).
 """
 
 import json
-from pathlib import Path
 
-from repro.analysis import (
-    build_callgraph,
-    default_root,
-    load_project,
-)
+from repro.analysis import build_callgraph, load_project
 from repro.analysis.callgraph import GRAPH_SCHEMA_VERSION
 from repro.analysis.dataflow import (
     attribute_closure,
@@ -31,8 +26,6 @@ from repro.analysis.summaries import (
     module_name_for,
     summarize_file,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = {"src/repro/placeholder.py": "X = 1\n"}
 
@@ -534,20 +527,18 @@ class TestDataflow:
 
 
 class TestRepositoryGraph:
-    def test_coverage_floor(self):
-        graph = build_callgraph(load_project(default_root(REPO_ROOT)))
-        cov = graph.coverage()
+    def test_coverage_floor(self, repo_report):
+        cov = repo_report.graph.coverage()
         assert cov["functions_defined"] > 500
         # the --graph acceptance bar: >= 95% of src/repro definitions
         assert cov["ratio"] >= 0.95, cov
 
-    def test_known_dynamic_edge_is_documented_imprecise(self):
+    def test_known_dynamic_edge_is_documented_imprecise(self, repo_report):
         """TenantSpec.query_config dispatches through importlib; the
         graph must mark it dynamic rather than fake a call edge."""
-        graph = build_callgraph(load_project(default_root(REPO_ROOT)))
         dynamic = [
             q
-            for q, n in graph.functions.items()
+            for q, n in repo_report.graph.functions.items()
             if n.dynamic and "TenantSpec" in q
         ]
         assert dynamic, "TenantSpec importlib indirection lost its marker"
