@@ -6,34 +6,42 @@ next five batches" exactly as Sec. IV-B describes, and it measures the
 query profile (baseline memory/compute split for Eq. 8) on the first batch
 with a throwaway executor before the run starts.
 
-When the channel is a :class:`~repro.net.faults.FaultyChannel`, batches
-additionally travel as real binary frames through
-``serialize_batch``/``deserialize_batch`` under the reliable transport
-(:mod:`repro.net.transport`): corrupted or dropped frames are
-retransmitted with capped exponential backoff in virtual time, and
-batches that exhaust their retries are quarantined instead of crashing
-the run.  The resulting :class:`~repro.net.faults.FaultReport` rides on
-the :class:`RunReport`.
+One batch's transmit-and-query step is :func:`ship_batch`, shared with
+the serving layer's :class:`~repro.serve.session.TenantSession`.  Under an
+arrival model it hands the batch's ready time to the channel, whose
+``ship`` decides whether the batch queues (only a
+:class:`~repro.net.channel.QueuedChannel` does).
+
+When the channel is a :class:`~repro.net.faults.FaultyChannel`
+(:func:`make_transport`), batches additionally travel as real binary
+frames through ``serialize_batch``/``deserialize_batch`` under the
+reliable transport (:mod:`repro.net.transport`): corrupted or dropped
+frames are retransmitted with capped exponential backoff in virtual time,
+and batches that exhaust their retries are quarantined instead of
+crashing the run.  The resulting :class:`~repro.net.faults.FaultReport`
+rides on the :class:`RunReport`.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Iterable, Optional
 
-from ..net.channel import Channel, QueuedChannel
+from ..net.channel import Channel
 from ..net.faults import FaultReport, FaultyChannel
 from ..net.transport import ReliabilityConfig, ReliableTransport
 from ..operators.base import decoded_column
 from ..optimizer.logical import Plan
 from ..sql.executor import QueryResult, make_executor
-from ..stream.batch import Batch
+from ..stream.batch import Batch, CompressedBatch
+from ..stream.schema import Schema
 from .client import Client
 from .cost_model import SystemParams
 from .metrics import RunReport
 from .profiler import BatchTiming, Profiler
-from .server import Server
+from .server import Server, ServerReport
 
 
 def measure_query_profile(plan: Plan, batch: Batch, memory_fraction: float) -> None:
@@ -53,6 +61,50 @@ def measure_query_profile(plan: Plan, batch: Batch, memory_fraction: float) -> N
     elapsed = time.perf_counter() - t0
     plan.profile.mem_seconds = elapsed * memory_fraction
     plan.profile.op_seconds = elapsed * (1.0 - memory_fraction)
+
+
+@dataclass(frozen=True)
+class Shipment:
+    """What shipping one compressed batch to the server cost and yielded."""
+
+    #: virtual link seconds, including queueing, retransmits and backoff
+    seconds: float
+    #: bytes that crossed the link (every attempt's envelope when framed)
+    bytes_sent: int
+    attempts: int
+    #: the server's report; None when the batch was dead-lettered
+    report: Optional[ServerReport]
+
+
+def make_transport(
+    channel: Channel, schema: Schema, reliability: Optional[ReliabilityConfig]
+) -> Optional[ReliableTransport]:
+    """The reliable transport an unreliable channel needs, else None."""
+    if isinstance(channel, FaultyChannel):
+        return ReliableTransport(channel, schema, reliability)
+    return None
+
+
+def ship_batch(
+    batch: CompressedBatch,
+    channel: Channel,
+    transport: Optional[ReliableTransport],
+    server: Server,
+    ready_time: Optional[float],
+) -> Shipment:
+    """Send one compressed batch and query whatever arrives.
+
+    With a transport the batch travels as framed, retransmitted envelopes
+    and may be dead-lettered; without one it crosses ``channel`` raw.
+    ``ready_time`` is when the batch became ready under an arrival model;
+    the channel decides whether it queues on it.
+    """
+    if transport is None:
+        seconds = channel.ship(batch.nbytes, ready_time)
+        return Shipment(seconds, batch.nbytes, 1, server.process(batch))
+    sent = transport.send_batch(batch, ready_time=ready_time)
+    report = None if sent.delivered is None else server.process(sent.delivered)
+    return Shipment(sent.seconds, sent.bytes_on_wire, sent.attempts, report)
 
 
 class Pipeline:
@@ -100,80 +152,44 @@ class Pipeline:
                 self.plan, lookahead[0], self.params.memory_fraction
             )
 
-        # an unreliable channel engages the reliable transport: batches
-        # travel as sequence-numbered binary frames with retransmission
-        transport: Optional[ReliableTransport] = None
-        if isinstance(self.channel, FaultyChannel):
-            transport = ReliableTransport(
-                self.channel, self.plan.schema, self.reliability
-            )
-
+        transport = make_transport(self.channel, self.plan.schema, self.reliability)
+        rate = self.params.arrival_rate_tps
         processed = 0
         arrived_tuples = 0
-        timed_link = (
-            self.channel.inner
-            if isinstance(self.channel, FaultyChannel)
-            else self.channel
-        )
-        use_arrivals = (
-            self.params.arrival_rate_tps is not None
-            and isinstance(timed_link, QueuedChannel)
-        )
         while lookahead and (max_batches is None or processed < max_batches):
             batch = lookahead.popleft()
             refill()
             outcome = self.client.compress_batch(batch, upcoming=tuple(lookahead))
+            # under an arrival model a batch is ready once its last tuple
+            # has arrived and it has been compressed
             ready: Optional[float] = None
-            if use_arrivals:
+            if rate is not None:
                 arrived_tuples += batch.n
-                ready = arrived_tuples / self.params.arrival_rate_tps + outcome.seconds
+                ready = arrived_tuples / rate + outcome.seconds
             any_lazy = any(
                 not name_is_eager(codec_name)
                 for codec_name in outcome.choices.values()
             )
-            wait_seconds = self.params.t_wait if any_lazy else 0.0
-            if transport is not None:
-                shipped = transport.send_batch(outcome.batch, ready_time=ready)
-                bytes_sent = shipped.bytes_on_wire
-                trans_seconds = shipped.seconds
-                if shipped.delivered is None:
-                    # quarantined: the time and bytes were spent, but the
-                    # batch never reached the query — account and move on
-                    profiler.record_batch(
-                        BatchTiming(
-                            wait=wait_seconds,
-                            compress=outcome.seconds,
-                            trans=trans_seconds,
-                        ),
-                        tuples=batch.n,
-                        bytes_sent=bytes_sent,
-                        bytes_uncompressed=batch.uncompressed_nbytes,
-                    )
-                    processed += 1
-                    continue
-                report = self.server.process(shipped.delivered)
-            elif use_arrivals:
-                trans_seconds, _ = self.channel.send(outcome.batch.nbytes, ready)
-                bytes_sent = outcome.batch.nbytes
-                report = self.server.process(outcome.batch)
-            else:
-                trans_seconds = self.channel.transmit(outcome.batch.nbytes)
-                bytes_sent = outcome.batch.nbytes
-                report = self.server.process(outcome.batch)
+            shipped = ship_batch(
+                outcome.batch, self.channel, transport, self.server, ready
+            )
+            # a dead-lettered batch spent its time and bytes but never
+            # reached the query
+            report = shipped.report
             timing = BatchTiming(
-                wait=wait_seconds,
+                wait=self.params.t_wait if any_lazy else 0.0,
                 compress=outcome.seconds,
-                trans=trans_seconds,
-                decompress=report.decompress_seconds,
-                query=report.query_seconds,
+                trans=shipped.seconds,
+                decompress=report.decompress_seconds if report else 0.0,
+                query=report.query_seconds if report else 0.0,
             )
             profiler.record_batch(
                 timing,
                 tuples=batch.n,
-                bytes_sent=bytes_sent,
+                bytes_sent=shipped.bytes_sent,
                 bytes_uncompressed=batch.uncompressed_nbytes,
             )
-            if outputs is not None:
+            if outputs is not None and report is not None:
                 outputs.append(report.result)
             processed += 1
 

@@ -68,6 +68,14 @@ class Channel:
         self.seconds_spent += seconds
         return seconds
 
+    def ship(self, nbytes: int, ready_time: Optional[float] = None) -> float:
+        """Ship one batch payload; returns seconds.
+
+        A plain link has no queue, so ``ready_time`` (when the batch became
+        ready under an arrival model) does not change its timing.
+        """
+        return self.transmit(nbytes)
+
     def reset(self) -> None:
         self.bytes_sent = 0
         self.batches_sent = 0
@@ -110,6 +118,13 @@ class QueuedChannel(Channel):
         self.seconds_spent += queue_delay + wire
         self.queue_seconds += queue_delay
         return queue_delay + wire, depart
+
+    def ship(self, nbytes: int, ready_time: Optional[float] = None) -> float:
+        """Queue behind earlier batches when a ready time is known."""
+        if ready_time is None:
+            return self.transmit(nbytes)
+        seconds, _ = self.send(nbytes, ready_time)
+        return seconds
 
     def reset(self) -> None:
         super().reset()

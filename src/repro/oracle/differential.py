@@ -59,7 +59,8 @@ from ..optimizer.logical import (
     WindowAggNode,
     iter_nodes,
 )
-from ..sql.executor import QueryResult, _expr_refs
+from ..sql.ast import column_refs
+from ..sql.executor import QueryResult
 from ..stats import ColumnStats
 from ..stream.batch import Batch, CompressedBatch
 from ..stream.window import MODE_TIME
@@ -272,7 +273,7 @@ def column_operator_kinds(plan: Plan) -> Dict[str, Set[str]]:
                     if dedup:
                         mark(out.source_column, "distinct")
                 elif out.kind == OUT_EXPR and out.expr is not None:
-                    for ref in _expr_refs(out.expr):
+                    for ref in column_refs(out.expr):
                         mark(ref.name, "projection")
     return kinds
 

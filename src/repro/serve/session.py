@@ -5,15 +5,18 @@ A :class:`TenantSession` owns everything the engine's
 client, server, channel, reliable transport, lookahead buffer — but
 exposes it one batch at a time (:meth:`step`) so the supervisor can
 interleave tenants, contain crashes and checkpoint between batches.
+Each step ships its batch through the engine's own
+:func:`~repro.core.pipeline.ship_batch`.
 
 Determinism is the load-bearing property: sessions always run with
 ``profile_query=False`` (codec selection depends only on the calibration
 table, never on measured wall time) and all virtual-time inputs to the
 scheduler come from the transport/channel simulation plus a fixed
-per-batch service quantum.  Two sessions built from the same
-:class:`TenantSpec` therefore produce byte-identical outputs — the
-property the kill-and-recover differential test and the chaos oracle
-lean on.
+per-batch service quantum, which also stands in for the measured
+compress time the engine adds to a batch's arrival ready time.  Two
+sessions built from the same :class:`TenantSpec` therefore produce
+byte-identical outputs — the property the kill-and-recover differential
+test and the chaos oracle lean on.
 
 Checkpointing pickles the session's mutable object graph in one piece
 (client, server minus the shared decode cache, channel, transport,
@@ -36,10 +39,11 @@ from ..core.client import Client
 from ..core.cost_model import SystemParams
 from ..core.decode_cache import DecodeCache
 from ..core.engine import CompressStreamDB, EngineConfig
+from ..core.pipeline import make_transport, ship_batch
 from ..core.server import Server
 from ..errors import CodecError, ServeError
-from ..net.channel import Channel, QueuedChannel
-from ..net.faults import FaultProfile, FaultyChannel
+from ..net.channel import Channel
+from ..net.faults import FaultProfile
 from ..net.transport import ReliabilityConfig, ReliableTransport
 from ..sql.executor import QueryResult
 from ..stream.batch import Batch
@@ -195,11 +199,9 @@ class TenantSession:
             self.server.cache = cache
         self.server.tenant = spec.tenant
         self.channel: Channel = pipeline.channel
-        self.transport: Optional[ReliableTransport] = None
-        if isinstance(self.channel, FaultyChannel):
-            self.transport = ReliableTransport(
-                self.channel, self.plan.schema, spec.reliability
-            )
+        self.transport: Optional[ReliableTransport] = make_transport(
+            self.channel, self.plan.schema, spec.reliability
+        )
         self._iterator = iter(spec.make_source())
         self._lookahead: Deque[Batch] = deque()
         self._pulled = 0
@@ -284,45 +286,29 @@ class TenantSession:
         self._refill()
         self.cursor += 1
         outcome = self.client.compress_batch(batch, upcoming=tuple(self._lookahead))
+        # the fixed quantum, not measured compress time, stands in for the
+        # client's work so the ready time replays identically after restore
         quantum = self.spec.service_quantum_s
         ready: Optional[float] = None
         rate = self.spec.arrival_rate_tps
-        if self._use_arrivals and rate is not None:
+        if rate is not None:
             self.arrived_tuples += batch.n
             ready = self.arrived_tuples / rate + quantum
-        if self.transport is not None:
-            shipped = self.transport.send_batch(outcome.batch, ready_time=ready)
-            if shipped.delivered is None:
-                # dead-lettered: time and bytes were spent, no result came out
-                return StepOutcome(
-                    kind=QUARANTINED,
-                    batch_index=index,
-                    tuples=batch.n,
-                    virtual_seconds=shipped.seconds + quantum,
-                    attempts=shipped.attempts,
-                    shed=shed_now,
-                    choices=outcome.choices,
-                )
-            trans_seconds = shipped.seconds
-            attempts = shipped.attempts
-            report = self.server.process(shipped.delivered)
-        elif self._use_arrivals:
-            trans_seconds, _ = self.channel.send(outcome.batch.nbytes, ready)
-            attempts = 1
-            report = self.server.process(outcome.batch)
-        else:
-            trans_seconds = self.channel.transmit(outcome.batch.nbytes)
-            attempts = 1
-            report = self.server.process(outcome.batch)
-        if index not in self.outputs:
-            self.tuples_delivered += batch.n
-        self.outputs[index] = report.result
+        shipped = ship_batch(
+            outcome.batch, self.channel, self.transport, self.server, ready
+        )
+        # a dead-lettered batch spent time and bytes but yields no result
+        report = shipped.report
+        if report is not None:
+            if index not in self.outputs:
+                self.tuples_delivered += batch.n
+            self.outputs[index] = report.result
         return StepOutcome(
-            kind=DELIVERED,
+            kind=QUARANTINED if report is None else DELIVERED,
             batch_index=index,
             tuples=batch.n,
-            virtual_seconds=trans_seconds + quantum,
-            attempts=attempts,
+            virtual_seconds=shipped.seconds + quantum,
+            attempts=shipped.attempts,
             shed=shed_now,
             choices=outcome.choices,
         )
@@ -337,17 +323,6 @@ class TenantSession:
             self.batches_shed += 1
             shed += 1
         return shed
-
-    @property
-    def _use_arrivals(self) -> bool:
-        link = (
-            self.channel.inner
-            if isinstance(self.channel, FaultyChannel)
-            else self.channel
-        )
-        return self.spec.arrival_rate_tps is not None and isinstance(
-            link, QueuedChannel
-        )
 
     # ----- checkpoint / restore -------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..stream.window import WindowSpec
 
@@ -51,6 +51,17 @@ class AggregateCall:
 
 
 Expr = Union[ColumnRef, Literal, BinaryOp, AggregateCall]
+
+
+def column_refs(expr: Expr) -> List[ColumnRef]:
+    """Every column an expression reads, left to right (aggregate args too)."""
+    if isinstance(expr, ColumnRef):
+        return [expr]
+    if isinstance(expr, BinaryOp):
+        return column_refs(expr.left) + column_refs(expr.right)
+    if isinstance(expr, AggregateCall):
+        return [expr.arg] if expr.arg else []
+    return []
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ from ..optimizer.logical import (
     iter_nodes,
     where_of,
 )
-from .ast import BinaryOp, ColumnRef, Expr, Literal
+from .ast import BinaryOp, ColumnRef, Expr, Literal, column_refs
 
 N = TypeVar("N", bound=LogicalNode)
 
@@ -514,7 +514,9 @@ class PassthroughExecutor:
                 # lint: force-decode bounded, selected output rows only
                 out[o.name] = col.decode(col.codes[indices])
             elif o.kind == OUT_EXPR:
-                refs = {c.name: col_values(c.name)[indices] for c in _expr_refs(o.expr)}
+                refs = {
+                    c.name: col_values(c.name)[indices] for c in column_refs(o.expr)
+                }
                 out[o.name] = np.asarray(_eval_expr(o.expr, refs), dtype=np.int64)
             else:
                 raise PlanningError(f"unsupported output kind {o.kind!r} here")
@@ -525,14 +527,6 @@ class PassthroughExecutor:
         out = {o.name: _convert_output(o, stored[o.name]) for o in self.outputs}
         n_rows = len(next(iter(out.values()))) if out else 0
         return QueryResult(columns=out, n_rows=n_rows)
-
-
-def _expr_refs(expr: Expr) -> List[ColumnRef]:
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    if isinstance(expr, BinaryOp):
-        return _expr_refs(expr.left) + _expr_refs(expr.right)
-    return []
 
 
 class JoinExecutor:

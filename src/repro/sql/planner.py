@@ -54,18 +54,17 @@ from ..stream.schema import KIND_FLOAT, KIND_INT, Field, Schema
 from ..stream.window import MODE_COUNT, MODE_PARTITION, MODE_TIME, MODE_UNBOUNDED
 from .ast import (
     AggregateCall,
-    BinaryOp,
     BoolExpr,
     BoolOp,
     ColumnRef,
     Comparison,
-    Expr,
     JoinClause,
     Literal,
     Query,
     Script,
     SelectItem,
     SourceRef,
+    column_refs,
 )
 from .parser import parse
 
@@ -77,16 +76,6 @@ def _merge_use(uses: Dict[str, ColumnUse], new: ColumnUse) -> None:
         uses[new.name] = uses[new.name].merge(new)
     else:
         uses[new.name] = new
-
-
-def _expr_columns(expr: Expr) -> List[ColumnRef]:
-    if isinstance(expr, ColumnRef):
-        return [expr]
-    if isinstance(expr, BinaryOp):
-        return _expr_columns(expr.left) + _expr_columns(expr.right)
-    if isinstance(expr, AggregateCall):
-        return [expr.arg] if expr.arg else []
-    return []
 
 
 def _check_column(schema: Schema, ref: ColumnRef, context: str) -> Field:
@@ -476,7 +465,7 @@ class Planner:
                 )
                 continue
             # arithmetic expression: needs values of every referenced column
-            refs = _expr_columns(expr)
+            refs = column_refs(expr)
             if not refs:
                 raise PlanningError(f"constant select item {expr!s} is not supported")
             for ref in refs:

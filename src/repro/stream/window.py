@@ -9,9 +9,11 @@ The dialect of Table III uses three window forms:
 * ``[partition by col rows K]`` — the most recent K tuples per partition
   key (Q3's "latest position per vehicle").
 
-Sliding windows may span batches; :class:`SlidingWindowBuffer` implements
-the paper's *batch buffer* (Sec. VI): it retains the tail of the previous
-batch so cross-batch windows are computed without re-transmission.
+Sliding windows may span batches; :class:`WindowScheduler` (count) and
+:class:`TimeWindowScheduler` (time) lay out each batch's window extents
+for the paper's *batch buffer* (Sec. VI): the executor retains the tail of
+the previous batch so cross-batch windows are computed without
+re-transmission.
 """
 
 from __future__ import annotations
@@ -81,44 +83,6 @@ class WindowSpec:
         return cls(mode=MODE_PARTITION, partition_by=key, rows=rows)
 
 
-class SlidingWindowBuffer:
-    """Cross-batch count-window bookkeeping (the paper's batch buffer).
-
-    Feed batches in arrival order; each call returns the merged working
-    batch (buffered tail + new tuples) and the list of complete window
-    extents ``(start, end)`` as offsets into that merged batch.  Incomplete
-    trailing windows stay buffered for the next feed.
-    """
-
-    def __init__(self, spec: WindowSpec):
-        if spec.mode != MODE_COUNT:
-            raise PlanningError("SlidingWindowBuffer requires a count window")
-        self.spec = spec
-        self._pending: Optional[Batch] = None
-        self._skip = 0  # tuples to drop before the next window start
-
-    def feed(self, batch: Batch) -> Tuple[Batch, List[Tuple[int, int]]]:
-        merged = Batch.concat([self._pending, batch]) if self._pending else batch
-        size, slide = self.spec.size, self.spec.slide
-        start = self._skip
-        windows: List[Tuple[int, int]] = []
-        while start + size <= merged.n:
-            windows.append((start, start + size))
-            start += slide
-        if start >= merged.n:
-            self._pending = None
-            self._skip = start - merged.n
-        else:
-            self._pending = merged.slice(start, merged.n)
-            self._skip = 0
-        return merged, windows
-
-    @property
-    def buffered(self) -> int:
-        """Tuples currently held for cross-batch windows."""
-        return self._pending.n if self._pending is not None else 0
-
-
 @dataclass(frozen=True)
 class WindowLayout:
     """Window extents for one fed batch, in merged coordinates.
@@ -132,10 +96,6 @@ class WindowLayout:
     carry: int
     windows: Tuple[Tuple[int, int], ...]
     retain_start: int
-
-    @property
-    def crosses_batches(self) -> bool:
-        return self.carry > 0
 
 
 class WindowScheduler:

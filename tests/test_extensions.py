@@ -122,6 +122,13 @@ class TestQueuedChannel:
         with pytest.raises(ChannelError):
             QueuedChannel(bandwidth_mbps=8.0).send(1, ready_time=-1.0)
 
+    def test_ship_without_ready_time_is_transmit(self):
+        queued = QueuedChannel(bandwidth_mbps=8.0, latency_s=0.01)
+        plain = QueuedChannel(bandwidth_mbps=8.0, latency_s=0.01)
+        assert queued.ship(1000, None) == plain.transmit(1000)
+        assert queued.bytes_sent == plain.bytes_sent == 1000
+        assert queued.link_free_at == 0.0  # no queue clock was touched
+
     def test_reset_clears_clock(self):
         ch = QueuedChannel(bandwidth_mbps=8.0)
         ch.send(1_000_000, ready_time=0.0)

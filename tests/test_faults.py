@@ -130,17 +130,25 @@ class TestFaultyChannel:
         faulty.reset()
         assert faulty.bytes_sent == faulty.inner.bytes_sent == 0
 
-    def test_send_requires_queued_channel(self):
-        faulty = FaultyChannel(Channel(bandwidth_mbps=100.0))
-        with pytest.raises(ChannelError):
-            faulty.send(100, ready_time=0.0)
+    def test_plain_inner_ships_via_transmit(self):
+        # a plain link has no queue: the ready time changes nothing
+        faulty = FaultyChannel(Channel(bandwidth_mbps=100.0, latency_s=0.01))
+        seconds = faulty.ship(1000, ready_time=5.0)
+        assert seconds == faulty.transmit_seconds(1000)
+        assert faulty.bytes_sent == faulty.inner.bytes_sent == 1000
+        assert faulty.seconds_spent == faulty.inner.seconds_spent == seconds
 
-    def test_send_delegates_to_queued_inner(self):
-        inner = QueuedChannel(bandwidth_mbps=100.0)
+    def test_ship_delegates_to_queued_inner(self):
+        inner = QueuedChannel(bandwidth_mbps=8.0)  # 1 MB/s
         faulty = FaultyChannel(inner)
-        seconds, done = faulty.send(1000, ready_time=0.0)
-        assert seconds > 0
-        assert faulty.bytes_sent == inner.bytes_sent == 1000
+        first = faulty.ship(1_000_000, ready_time=0.0)
+        second = faulty.ship(1_000_000, ready_time=0.0)
+        # the second batch queues behind the first on the inner link
+        assert (first, second) == pytest.approx((1.0, 2.0))
+        assert inner.queue_seconds == pytest.approx(1.0)
+        assert faulty.bytes_sent == inner.bytes_sent == 2_000_000
+        assert faulty.batches_sent == inner.batches_sent == 2
+        assert faulty.seconds_spent == inner.seconds_spent
 
     def test_cannot_nest(self):
         faulty = FaultyChannel(Channel(bandwidth_mbps=10.0))
