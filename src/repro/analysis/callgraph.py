@@ -161,7 +161,6 @@ class CallGraph:
         self.classes: Dict[str, ClassNode] = {}
         self.edges: List[Edge] = []
         self._out: Dict[str, List[Edge]] = {}
-        self._in: Dict[str, List[Edge]] = {}
         self.modules: Set[str] = set()
         #: independent AST count of defs under ``src/repro`` (coverage
         #: denominator, set by :func:`build_callgraph`)
@@ -171,9 +170,6 @@ class CallGraph:
 
     def callees(self, qualname: str) -> List[Edge]:
         return self._out.get(qualname, [])
-
-    def callers(self, qualname: str) -> List[Edge]:
-        return self._in.get(qualname, [])
 
     def function(self, qualname: str) -> Optional[FunctionNode]:
         return self.functions.get(qualname)
@@ -603,7 +599,6 @@ class _Linker:
         edge = Edge(caller=caller, callee=callee, line=line, kind=kind)
         self.graph.edges.append(edge)
         self.graph._out.setdefault(caller, []).append(edge)
-        self.graph._in.setdefault(callee, []).append(edge)
 
     def _link_function(
         self, doc: Dict[str, Any], fdoc: Dict[str, Any]

@@ -828,17 +828,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay", default="", help="re-run one repro file instead of a campaign"
     )
     oracle.add_argument(
-        "--optimize",
-        action="store_true",
-        dest="optimize",
-        default=True,
-        help="run the optimized-plan leg on every case (default)",
-    )
-    oracle.add_argument(
         "--no-optimize",
         action="store_false",
         dest="optimize",
-        help="skip the optimized-plan leg",
+        help="skip the optimized-plan leg (run on every case by default)",
     )
     oracle.add_argument(
         "--chaos",

@@ -9,7 +9,6 @@ from .aggregation import (
 from .base import ExecColumn, decoded_column
 from .distinct import distinct_indices
 from .groupby import GroupedWindowResult, combine_keys, window_group_aggregate
-from .join import semi_join_latest
 from .selection import COMPARISONS, compare_columns, compare_to_literal
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "GroupedWindowResult",
     "combine_keys",
     "window_group_aggregate",
-    "semi_join_latest",
     "COMPARISONS",
     "compare_columns",
     "compare_to_literal",

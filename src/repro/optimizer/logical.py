@@ -127,10 +127,9 @@ class JoinSide:
     """One partition-window side of the join.
 
     ``probe_column`` is the window-side column whose values probe this
-    side's state; ``key_column`` is the side's partition-by column.  The
-    comma-form join has ``probe_column == key_column``; the explicit
-    ``JOIN ... ON`` form may probe with a different column, which is what
-    makes LEFT OUTER misses observable.
+    side's state; ``key_column`` is the side's partition-by column.  They
+    may differ (``A.ref == R.key``), which is what makes LEFT OUTER misses
+    observable.
     """
 
     binding: str
@@ -291,7 +290,8 @@ class DeriveNode(LogicalNode):
 
 @dataclass(frozen=True)
 class JoinNode(LogicalNode):
-    """Window x partition-state join (comma form and explicit form).
+    """Window x partition-state join (``[LEFT] JOIN ... ON``; Q3's comma
+    form plans as the one-side join it abbreviates).
 
     ``schema`` is what the join sides see (the derived stream's output
     schema, or the input stream's); ``output_sides`` gives, for each

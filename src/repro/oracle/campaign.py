@@ -34,8 +34,8 @@ class CampaignConfig:
     max_failures: int = 5
     #: test-only fault injection, threaded into the differential config
     mutate: Optional[MutateHook] = None
-    #: run the optimized-plan leg on every case (``--optimize`` in the
-    #: CLI; the optimizer-smoke CI job gates on this at zero mismatches)
+    #: run the optimized-plan leg on every case (``--no-optimize`` in the
+    #: CLI skips it; the optimizer-smoke CI job gates on zero mismatches)
     optimized: bool = True
 
 

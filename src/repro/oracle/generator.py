@@ -12,8 +12,9 @@ lexer -> parser -> planner path.  Three shapes are generated, mirroring
 the planner's plan taxonomy: windowed aggregation (count and time
 windows, group-by, where, having with AND/OR, order by + limit),
 unbounded passthrough (projection, arithmetic, distinct), and the joins:
-both the legacy Q3 comma form and the explicit ``[LEFT] JOIN ... ON``
-form with up to two partition sides and independent probe columns.
+``[LEFT] JOIN ... ON`` with up to two partition sides and independent
+probe columns, plus Q3's comma form, which the planner reads as the
+one-side ``JOIN ... ON`` it abbreviates.
 """
 
 from __future__ import annotations

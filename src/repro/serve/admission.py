@@ -94,10 +94,6 @@ class TokenBucket:
         )
         self._updated = now
 
-    def available(self, now: float) -> float:
-        self._refill(now)
-        return self._tokens
-
     def try_take(self, now: float, tokens: float = 1.0) -> bool:
         self._refill(now)
         if self._tokens + 1e-12 >= tokens:

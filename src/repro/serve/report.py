@@ -119,14 +119,6 @@ class ServeReport:
         idx = min(len(ordered) - 1, int(0.95 * len(ordered)))
         return ordered[idx]
 
-    def worst_health(self) -> str:
-        order = {HEALTHY: 0, DEGRADED: 1, QUARANTINED: 2}
-        worst = HEALTHY
-        for t in self.tenants:
-            if order[t.health] > order[worst]:
-                worst = t.health
-        return worst
-
     def summary_rows(self) -> List[Tuple[str, str]]:
         counts = self.health_counts()
         return [

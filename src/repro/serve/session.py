@@ -87,10 +87,6 @@ class TenantSpec:
     #: fixed virtual seconds of client+server compute charged per batch
     #: (the deterministic stand-in for measured compress/query time)
     service_quantum_s: float = 0.002
-    demote_after: int = 3
-    #: run tenant queries through the rule-based optimizer (the engine
-    #: default); False pins the planner's naive plan shape
-    optimize: bool = True
 
     def __post_init__(self) -> None:
         if not self.tenant:
@@ -136,8 +132,6 @@ class TenantSpec:
             profile_query=False,
             fault_profile=self.fault_profile,
             reliability=self.reliability,
-            demote_after=self.demote_after,
-            optimize=self.optimize,
         )
 
     def make_source(self) -> Iterable[Batch]:
@@ -233,11 +227,6 @@ class TenantSession:
     @property
     def done(self) -> bool:
         return not self._lookahead
-
-    @property
-    def pending(self) -> int:
-        """Batches pulled into the session but not yet processed/shed."""
-        return self._pulled - self.cursor
 
     def mark_shed(self, indices: Iterable[int]) -> int:
         """Reject-newest load shedding: drop these not-yet-served batches."""

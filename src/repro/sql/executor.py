@@ -35,7 +35,6 @@ from ..operators.aggregation import window_aggregate
 from ..operators.base import ExecColumn, decoded_column
 from ..operators.distinct import distinct_indices
 from ..operators.groupby import combine_keys, window_group_aggregate
-from ..operators.join import semi_join_latest
 from ..operators.selection import compare_to_literal
 from ..stream.batch import Batch
 from ..stream.quantize import dequantize
@@ -53,10 +52,9 @@ from ..optimizer.logical import (
     OUT_KEY,
     OUT_LAST,
     DeriveNode,
-    HavingNode,
+    HavingGroup,
     HavingPredicate,
     JoinNode,
-    LiteralPredicate,
     LogicalNode,
     OrderLimitNode,
     OutputColumn,
@@ -146,13 +144,12 @@ def _eval_expr(expr: Expr, values: Dict[str, np.ndarray]) -> np.ndarray:
     raise PlanningError(f"cannot evaluate expression {expr!s}")
 
 
-def _predicate_mask(
-    columns: Dict[str, ExecColumn], node: "PredicateNode", n: int
-) -> np.ndarray:
-    """Evaluate an AND/OR predicate tree into a boolean row mask."""
-    if isinstance(node, LiteralPredicate):
-        return compare_to_literal(columns[node.column], node.op, node.literal)
-    masks = [_predicate_mask(columns, child, n) for child in node.children]
+def _fold_mask(node: Any, leaf: Callable[[Any], np.ndarray]) -> np.ndarray:
+    """Fold an AND/OR tree (WHERE or HAVING) into one boolean row mask,
+    evaluating each leaf predicate with ``leaf``."""
+    if not isinstance(node, (PredicateGroup, HavingGroup)):
+        return leaf(node)
+    masks = [_fold_mask(child, leaf) for child in node.children]
     out = masks[0].copy()
     for m in masks[1:]:
         if node.op == "and":
@@ -160,6 +157,15 @@ def _predicate_mask(
         else:
             out |= m
     return out
+
+
+def _predicate_mask(
+    columns: Dict[str, ExecColumn], node: "PredicateNode", n: int
+) -> np.ndarray:
+    """Evaluate an AND/OR predicate tree into a boolean row mask."""
+    return _fold_mask(
+        node, lambda p: compare_to_literal(columns[p.column], p.op, p.literal)
+    )
 
 
 def _apply_where(
@@ -236,6 +242,21 @@ def _apply_where_fused(
         else:
             out[name] = column.take(row_idx)
     return out, int(row_idx.size)
+
+
+def _having_leaf(pred: HavingPredicate, out: Dict[str, np.ndarray]) -> np.ndarray:
+    col = out[pred.output]
+    if pred.op == "==":
+        return col == pred.literal
+    if pred.op == "!=":
+        return col != pred.literal
+    if pred.op == "<":
+        return col < pred.literal
+    if pred.op == "<=":
+        return col <= pred.literal
+    if pred.op == ">":
+        return col > pred.literal
+    return col >= pred.literal
 
 
 class WindowAggExecutor:
@@ -325,30 +346,6 @@ class WindowAggExecutor:
             return self._run_grouped(work, windows)
         return self._run_global(work, windows)
 
-    def _having_mask(self, node: HavingNode, out: Dict[str, np.ndarray]) -> np.ndarray:
-        """Evaluate the HAVING tree into a boolean row mask."""
-        if isinstance(node, HavingPredicate):
-            col = out[node.output]
-            if node.op == "==":
-                return col == node.literal
-            if node.op == "!=":
-                return col != node.literal
-            if node.op == "<":
-                return col < node.literal
-            if node.op == "<=":
-                return col <= node.literal
-            if node.op == ">":
-                return col > node.literal
-            return col >= node.literal
-        masks = [self._having_mask(child, out) for child in node.children]
-        acc = masks[0].copy()
-        for m in masks[1:]:
-            if node.op == "and":
-                acc &= m
-            else:
-                acc |= m
-        return acc
-
     def _finalize(
         self, out: Dict[str, np.ndarray], window_ids: np.ndarray
     ) -> QueryResult:
@@ -356,7 +353,7 @@ class WindowAggExecutor:
         visible = [o.name for o in self.outputs]
         n_rows = len(next(iter(out.values()))) if out else 0
         if self.having is not None and n_rows:
-            mask = self._having_mask(self.having, out)
+            mask = _fold_mask(self.having, lambda p: _having_leaf(p, out))
             if not mask.all():
                 out = {name: arr[mask] for name, arr in out.items()}
                 window_ids = window_ids[mask]
@@ -532,11 +529,10 @@ class PassthroughExecutor:
 class JoinExecutor:
     """Executes join shapes: derived stream -> window ⋈ partition state(s).
 
-    The legacy comma form (single inner side probing its own key) keeps
-    the :func:`semi_join_latest` kernel with arbitrary per-key depth; the
-    explicit ``JOIN ... ON`` form runs the general path: distinct probe
-    combinations per window, one aligned latest-row lookup per side, and
-    NaN/probe-value fills for LEFT OUTER misses.
+    A single inner side emits every held row of each distinct probe value
+    (any ``rows K`` depth).  Multi-way and outer joins run the general
+    path: distinct probe combinations per window, one aligned latest-row
+    lookup per side, and NaN/probe-value fills for LEFT OUTER misses.
     """
 
     def __init__(self, root: LogicalNode):
@@ -554,12 +550,7 @@ class JoinExecutor:
             self.scheduler = WindowScheduler(self.window)
         self.sides = join.sides
         self.states = [PartitionWindowState(side.window) for side in self.sides]
-        only = self.sides[0]
-        self._semi = (
-            len(self.sides) == 1
-            and not only.outer
-            and only.probe_column == only.key_column
-        )
+        self._single_inner = len(self.sides) == 1 and not self.sides[0].outer
         self._tail: Dict[str, np.ndarray] = {}
         self._absorbed = 0       # global count of rows absorbed into state
         self._merged_start = 0   # global index of merged[0]
@@ -603,8 +594,8 @@ class JoinExecutor:
                 self._absorb(merged, lo, e)
                 self._absorbed = global_end
             result = (
-                self._probe_semi(merged, s, e)
-                if self._semi
+                self._probe_single(merged, s, e)
+                if self._single_inner
                 else self._probe_general(merged, s, e)
             )
             if result is not None:
@@ -621,18 +612,21 @@ class JoinExecutor:
             return QueryResult.empty(self.outputs)
         return QueryResult.merge(results)
 
-    def _probe_semi(
+    def _probe_single(
         self, merged: Dict[str, np.ndarray], s: int, e: int
     ) -> Optional[QueryResult]:
-        key = self.sides[0].key_column
-        rows = semi_join_latest(merged[key][s:e], self.states[0])
+        """One inner side: held rows of each distinct probe value, in
+        probe-value order."""
+        side = self.sides[0]
+        probes = np.unique(np.asarray(merged[side.probe_column][s:e], dtype=np.int64))
+        rows = self.states[0].lookup(probes)
         if not rows:
             return None
         out = {
             o.name: _convert_output(o, rows[o.source_column])
             for o in self.outputs
         }
-        return QueryResult(columns=out, n_rows=len(rows[key]))
+        return QueryResult(columns=out, n_rows=len(rows[side.key_column]))
 
     def _probe_general(
         self, merged: Dict[str, np.ndarray], s: int, e: int

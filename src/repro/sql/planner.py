@@ -10,8 +10,9 @@ order.  Three tree shapes cover the dialect:
   per-tuple projection and selection, also the body of derived streams
   (Q3's SegSpeedStr);
 * join — ``(Scan | Derive) → Join → Project``: a sliding window ⋈ one or
-  more partition windows of the same stream (Q3 and the explicit
-  ``[LEFT] JOIN ... ON`` form).
+  more partition windows of the same stream, written ``[LEFT] JOIN ...
+  ON``; Q3's comma form plans as the one-side ``JOIN ... ON`` it
+  abbreviates.
 
 The planner computes a :class:`~repro.core.query_profile.QueryProfile`
 whose :class:`ColumnUse` entries tell both the cost model and the server
@@ -20,6 +21,7 @@ which columns can be served directly by which codecs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..compression.base import CAP_AFFINE, CAP_EQUALITY, CAP_ORDER
@@ -124,6 +126,9 @@ _CAP_BY_AGG = {
     "count": frozenset(),
 }
 
+#: the comparison with its operands swapped (``5 < x`` is ``x > 5``)
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+
 _CAP_BY_COMPARE = {
     "==": frozenset({CAP_EQUALITY}),
     "!=": frozenset({CAP_EQUALITY}),
@@ -150,6 +155,22 @@ def _filtered(node: LogicalNode, where: Optional[PredicateNode]) -> LogicalNode:
     return node if where is None else FilterNode(child=node, predicate=where)
 
 
+def _comma_join_as_explicit(query: Query) -> Query:
+    """Q3's comma form is sugar for ``JOIN ... ON``: the partition-windowed
+    source becomes the one join side and WHERE its ON predicate; the
+    explicit-join planner checks everything else."""
+    on = query.where
+    if not isinstance(on, Comparison):
+        raise PlanningError("the join form needs exactly one join predicate")
+    first, second = query.sources
+    side, probe = (
+        (first, second) if first.window.mode == MODE_PARTITION else (second, first)
+    )
+    return replace(
+        query, sources=(probe,), joins=(JoinClause(source=side, on=on),), where=None
+    )
+
+
 # ----- planner ------------------------------------------------------
 
 
@@ -170,10 +191,10 @@ class Planner:
             derived_plans[derived.name] = plan
             catalog[derived.name] = Schema([o.out_field for o in outputs])
         main = script.main
+        if len(main.sources) == 2 and not main.joins:
+            main = _comma_join_as_explicit(main)
         if main.joins:
             return self._plan_explicit_join(main, catalog, derived_plans)
-        if len(main.sources) == 2:
-            return self._plan_join(main, catalog, derived_plans)
         if len(main.sources) != 1:
             raise PlanningError("queries must read one or two sources")
         window = main.sources[0].window
@@ -291,10 +312,9 @@ class Planner:
             )
         comp = condition
         by_name = {o.name: o for o in outputs}
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
         left, right, op = comp.left, comp.right, comp.op
         if isinstance(left, Literal) and not isinstance(right, Literal):
-            left, right, op = right, left, flip[op]
+            left, right, op = right, left, _FLIPPED[op]
         if not isinstance(right, Literal):
             raise PlanningError("having compares an aggregate to a literal")
         index = counter[0]
@@ -509,10 +529,9 @@ class Planner:
                 ),
             )
         comp = condition
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
         left, right, op = comp.left, comp.right, comp.op
         if isinstance(left, Literal) and isinstance(right, ColumnRef):
-            left, right, op = right, left, flip[op]
+            left, right, op = right, left, _FLIPPED[op]
         if not (isinstance(left, ColumnRef) and isinstance(right, Literal)):
             raise PlanningError(
                 "where supports column-vs-literal predicates here; "
@@ -521,92 +540,6 @@ class Planner:
         f = _check_column(schema, left, "where")
         _merge_use(uses, ColumnUse(left.name, caps=_CAP_BY_COMPARE[op]))
         return LiteralPredicate(left.name, op, _quantized_literal(right.value, f))
-
-    def _plan_join(
-        self,
-        query: Query,
-        catalog: Dict[str, Schema],
-        derived_plans: Dict[str, Plan],
-    ) -> Plan:
-        first, second = query.sources
-        if first.stream != second.stream:
-            raise PlanningError("the join form requires two windows of one stream")
-        if first.stream not in catalog:
-            raise PlanningError(f"unknown stream {first.stream!r}")
-        join_schema = catalog[first.stream]
-        sliding_modes = (MODE_COUNT, MODE_TIME)
-        if first.window.mode in sliding_modes and second.window.mode == MODE_PARTITION:
-            window_src, partition_src = first, second
-        elif (
-            first.window.mode == MODE_PARTITION and second.window.mode in sliding_modes
-        ):
-            window_src, partition_src = second, first
-        else:
-            raise PlanningError(
-                "the join form needs one count/time window and one partition window"
-            )
-        if not isinstance(query.where, Comparison):
-            raise PlanningError("the join form needs exactly one join predicate")
-        if query.having is not None:
-            raise PlanningError("having is not supported on the join form")
-        if query.order_by or query.limit is not None:
-            raise PlanningError(
-                "order by / limit apply to windowed aggregation results"
-            )
-        comp = query.where
-        if comp.op != "==" or not (
-            isinstance(comp.left, ColumnRef) and isinstance(comp.right, ColumnRef)
-        ):
-            raise PlanningError("the join predicate must be column == column")
-        sides = {window_src.binding, partition_src.binding}
-        tables = {comp.left.table, comp.right.table}
-        if comp.left.name != comp.right.name or tables != sides:
-            raise PlanningError(
-                "the join predicate must equate the same column of both sides"
-            )
-        join_key = comp.left.name
-        if join_key != partition_src.window.partition_by:
-            raise PlanningError("the join key must be the partition-by column")
-        _check_column(join_schema, ColumnRef(join_key), "join key")
-
-        outputs: List[OutputColumn] = []
-        for item in query.items:
-            expr = item.expr
-            if not isinstance(expr, ColumnRef):
-                raise PlanningError("the join form selects plain columns only")
-            if expr.table is not None and expr.table != partition_src.binding:
-                raise PlanningError(
-                    "the join form outputs columns of the partition side "
-                    f"({partition_src.binding!r}); got {expr!s}"
-                )
-            f = _check_column(join_schema, expr, "select")
-            outputs.append(
-                OutputColumn(
-                    name=item.output_name,
-                    kind=OUT_COLUMN,
-                    source_column=expr.name,
-                    out_field=Field(
-                        item.output_name, f.kind, f.size, decimals=f.decimals
-                    ),
-                    src_decimals=f.decimals,
-                )
-            )
-
-        side = JoinSide(
-            binding=partition_src.binding,
-            window=partition_src.window,
-            probe_column=join_key,
-            key_column=join_key,
-        )
-        return self._join_tree(
-            query,
-            window_src,
-            join_schema,
-            (side,),
-            outputs,
-            (0,) * len(outputs),
-            derived_plans,
-        )
 
     def _plan_explicit_join(
         self,
@@ -617,10 +550,11 @@ class Planner:
         """Plan the explicit ``[LEFT] JOIN ... ON`` form (multi-way, outer).
 
         One count/time-windowed probe source joins one or more
-        ``[partition by k rows 1]`` sides of the same stream.  Each ON
+        ``[partition by k rows K]`` sides of the same stream.  Each ON
         predicate equates a probe-side column with the side's partition
         key; misses on a LEFT side emit the probe value for the key
-        column and NaN for its other columns.
+        column and NaN for its other columns.  A lone inner side may keep
+        ``rows K``; multi-way and LEFT sides keep one row per key.
         """
         if len(query.sources) != 1:
             raise PlanningError(
@@ -657,11 +591,11 @@ class Planner:
                 )
             if src.window.mode != MODE_PARTITION:
                 raise PlanningError(
-                    "join sides need a [partition by <key> rows 1] window"
+                    "join sides need a [partition by <key> rows K] window"
                 )
-            if src.window.rows != 1:
+            if src.window.rows != 1 and (clause.outer or len(query.joins) > 1):
                 raise PlanningError(
-                    "explicit join sides keep the latest row only "
+                    "multi-way and LEFT join sides keep the latest row only "
                     "([partition by <key> rows 1])"
                 )
             if src.binding in bindings:
@@ -733,7 +667,7 @@ class Planner:
         output_sides: Tuple[int, ...],
         derived_plans: Dict[str, Plan],
     ) -> Plan:
-        """``(Scan | Derive) → Join → Project`` for both join forms."""
+        """``(Scan | Derive) → Join → Project``."""
         stream = probe_src.stream
         if probe_src.window.mode == MODE_TIME:
             tc = probe_src.window.time_column

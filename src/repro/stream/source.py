@@ -39,10 +39,6 @@ class ArraySource:
         self.keep_tail = keep_tail
         self._full = Batch.from_values(schema, columns)
 
-    @property
-    def total_tuples(self) -> int:
-        return self._full.n
-
     def __iter__(self) -> Iterator[Batch]:
         n = self._full.n
         stop = n if self.keep_tail else (n // self.batch_size) * self.batch_size

@@ -995,10 +995,10 @@ class TestRepositoryContracts:
             ("CSD001", "src/repro/operators/base.py", 125),
             ("CSD001", "src/repro/operators/base.py", 132),
             ("CSD001", "src/repro/operators/groupby.py", 129),
-            ("CSD001", "src/repro/sql/executor.py", 423),
-            ("CSD001", "src/repro/sql/executor.py", 464),
-            ("CSD001", "src/repro/sql/executor.py", 468),
-            ("CSD001", "src/repro/sql/executor.py", 515),
+            ("CSD001", "src/repro/sql/executor.py", 420),
+            ("CSD001", "src/repro/sql/executor.py", 461),
+            ("CSD001", "src/repro/sql/executor.py", 465),
+            ("CSD001", "src/repro/sql/executor.py", 512),
             ("CSD002", "src/repro/compression/kernels.py", 518),
             ("CSD002", "src/repro/compression/kernels.py", 536),
             ("CSD004", "src/repro/core/client.py", 70),

@@ -12,7 +12,6 @@ from repro.operators import (
     compare_to_literal,
     decoded_column,
     distinct_indices,
-    semi_join_latest,
     sliding_code_sums,
     sliding_extreme,
     window_aggregate,
@@ -248,9 +247,9 @@ class TestSemiJoin:
         state.update(
             Batch(schema, {"k": np.array([1, 2, 1]), "v": np.array([10, 20, 11])})
         )
-        rows = semi_join_latest(np.array([1, 1, 3]), state)
+        rows = state.lookup(np.unique(np.array([1, 1, 3])))
         np.testing.assert_array_equal(rows["v"], [11])
 
     def test_no_match_returns_empty(self):
         state = PartitionWindowState(WindowSpec.partition("k", 1))
-        assert semi_join_latest(np.array([5]), state) == {}
+        assert state.lookup(np.unique(np.array([5]))) == {}

@@ -185,6 +185,9 @@ class TestJoinPlanning:
             "where A.k == L.k",
             # missing predicate
             "select L.ts from S [range 4] as A, S [partition by k rows 1] as L",
+            # group by has no meaning on a join (was silently dropped)
+            "select L.ts from S [range 4] as A, S [partition by k rows 1] as L "
+            "where A.k == L.k group by L.v",
         ],
     )
     def test_invalid_join_forms(self, text):
